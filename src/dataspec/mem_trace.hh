@@ -10,7 +10,7 @@
  * Conflict profiles at *any* CLS are then a pure function of
  * (LoopEventRecording at that CLS, MemAccessTrace) — see
  * dataspec/conflict_profiler.hh — which keeps sweeps one-functional-pass
- * and makes the artifact cacheable next to ControlTraces in sweepd.
+ * and makes the artifact cacheable next to recordings in sweepd.
  */
 
 #ifndef LOOPSPEC_DATASPEC_MEM_TRACE_HH

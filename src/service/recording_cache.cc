@@ -78,20 +78,6 @@ RecordingCache::touch(Entry &e)
     lru.splice(lru.begin(), lru, e.lruIt);
 }
 
-std::shared_ptr<const CachedControlTrace>
-RecordingCache::getTrace(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = entries.find(key);
-    if (it == entries.end() || !it->second.trace) {
-        ++misses;
-        return nullptr;
-    }
-    ++hits;
-    touch(it->second);
-    return it->second.trace;
-}
-
 std::shared_ptr<const CachedRecording>
 RecordingCache::getRecording(const std::string &key)
 {
@@ -154,24 +140,6 @@ RecordingCache::insertAndEvict(const std::string &key, Entry e)
         entries.erase(vit);
         ++evictions;
     }
-}
-
-std::shared_ptr<const CachedControlTrace>
-RecordingCache::putTrace(const std::string &key,
-                         std::shared_ptr<const CachedControlTrace> value)
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = entries.find(key);
-    if (it != entries.end() && it->second.trace) {
-        touch(it->second);
-        return it->second.trace; // a racing builder got here first
-    }
-    Entry e;
-    e.trace = std::move(value);
-    e.bytes = e.trace->memoryBytes() + key.size() + kEntryOverheadBytes;
-    auto kept = e.trace;
-    insertAndEvict(key, std::move(e));
-    return kept;
 }
 
 std::shared_ptr<const CachedRecording>

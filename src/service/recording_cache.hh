@@ -1,11 +1,13 @@
 /**
  * @file
- * Content-addressed cache behind the sweep service (docs/DESIGN.md
- * §12): ControlTraces and (LoopEventRecording, RecordingIndex) pairs
- * keyed on everything that determines their bytes — workload, scale
- * factor (exact double bits), instruction window, trace source and CLS
- * capacity — and evicted least-recently-used under a configurable
- * memory budget.
+ * Content-addressed cache behind the sweep pipeline (docs/DESIGN.md
+ * §9, §12): (LoopEventRecording, RecordingIndex) pairs, memory-access
+ * sidecars and §4 reports keyed on everything that determines their
+ * bytes — workload, scale factor (exact double bits), instruction
+ * window, trace source and CLS capacity — and evicted
+ * least-recently-used under a configurable memory budget. sweepd owns
+ * a persistent one; runSpecSweep uses a zero-budget one, which caches
+ * nothing.
  *
  * Entries are immutable once inserted and handed out as
  * shared_ptr<const T>: eviction only drops the cache's reference, so a
@@ -34,7 +36,6 @@
 #include "dataspec/mem_trace.hh"
 #include "speculation/event_record.hh"
 #include "speculation/spec_sim.hh"
-#include "tracegen/control_trace.hh"
 
 namespace loopspec
 {
@@ -49,18 +50,6 @@ struct CacheStats
     uint64_t entries = 0;     //!< resident entries
     uint64_t bytes = 0;       //!< accounted resident bytes
     uint64_t budgetBytes = 0; //!< configured ceiling
-};
-
-/** An immutable cached control trace. */
-struct CachedControlTrace
-{
-    ControlTrace trace;
-
-    size_t
-    memoryBytes() const
-    {
-        return trace.memoryBytes();
-    }
 };
 
 /** An immutable cached memory-access sidecar (CLS-independent, so one
@@ -111,8 +100,8 @@ class RecordingCache
 {
   public:
     /** @param budget_bytes accounted-byte ceiling; 0 = cache nothing
-     *  (every insert is immediately evicted — still correct, never
-     *  faster). */
+     *  (every put hands its entry back and evicts it at once — the mode
+     *  runSpecSweep runs the shared pipeline in). */
     explicit RecordingCache(uint64_t budget_bytes)
         : budget(budget_bytes)
     {
@@ -121,10 +110,11 @@ class RecordingCache
     RecordingCache(const RecordingCache &) = delete;
     RecordingCache &operator=(const RecordingCache &) = delete;
 
-    /** Content-address of a control trace: everything that determines
-     *  its bytes. @p src is the serving trace directory or "run" for
-     *  in-process execution; @p scale_factor is keyed on its exact bit
-     *  pattern, so 0.25 and 0.250000001 never collide. */
+    /** Content-address of a workload's control trace: everything that
+     *  determines its bytes (the fields every other key extends).
+     *  @p src is the serving trace directory or "run" for in-process
+     *  execution; @p scale_factor is keyed on its exact bit pattern, so
+     *  0.25 and 0.250000001 never collide. */
     static std::string traceKey(const std::string &workload,
                                 double scale_factor, uint64_t max_instrs,
                                 const std::string &src);
@@ -153,8 +143,6 @@ class RecordingCache
                                      const std::string &src);
 
     /** nullptr on miss (counted); hit refreshes LRU position. */
-    std::shared_ptr<const CachedControlTrace>
-    getTrace(const std::string &key);
     std::shared_ptr<const CachedRecording>
     getRecording(const std::string &key);
     std::shared_ptr<const CachedMemTrace>
@@ -166,9 +154,6 @@ class RecordingCache
      *  one just inserted, or a pre-existing one from a racing builder
      *  (first insert wins). May evict, including the new entry itself
      *  when it alone exceeds the budget. */
-    std::shared_ptr<const CachedControlTrace>
-    putTrace(const std::string &key,
-             std::shared_ptr<const CachedControlTrace> value);
     std::shared_ptr<const CachedRecording>
     putRecording(const std::string &key,
                  std::shared_ptr<const CachedRecording> value);
@@ -184,8 +169,7 @@ class RecordingCache
   private:
     struct Entry
     {
-        // Exactly one of the four is set.
-        std::shared_ptr<const CachedControlTrace> trace;
+        // Exactly one of the three is set.
         std::shared_ptr<const CachedRecording> recording;
         std::shared_ptr<const CachedMemTrace> memTrace;
         std::shared_ptr<const CachedDataReport> dataReport;

@@ -118,13 +118,31 @@ SweepServer::acceptLoop(int listen_fd)
             // stop() closed the listener (or it failed hard): done.
             return;
         }
-        std::lock_guard<std::mutex> lock(mtx);
-        if (shuttingDown) {
-            ::close(fd);
-            return;
+        // Reap connections that have finished before spawning another,
+        // so threads (and their stacks) never outlive their client.
+        std::vector<std::thread> reaped;
+        {
+            std::lock_guard<std::mutex> lock(mtx);
+            if (shuttingDown) {
+                ::close(fd);
+                return;
+            }
+            for (std::thread::id id : finishedConns) {
+                for (size_t i = 0; i < connThreads.size(); ++i) {
+                    if (connThreads[i].get_id() == id) {
+                        reaped.push_back(std::move(connThreads[i]));
+                        connThreads[i] = std::move(connThreads.back());
+                        connThreads.pop_back();
+                        break;
+                    }
+                }
+            }
+            finishedConns.clear();
+            connFds.push_back(fd);
+            connThreads.emplace_back([this, fd] { serveConnection(fd); });
         }
-        connFds.push_back(fd);
-        connThreads.emplace_back([this, fd] { serveConnection(fd); });
+        for (std::thread &t : reaped)
+            t.join();
     }
 }
 
@@ -233,6 +251,7 @@ SweepServer::serveConnection(int fd)
                 break;
             }
         }
+        finishedConns.push_back(std::this_thread::get_id());
     }
     ::close(fd);
 }
@@ -272,6 +291,7 @@ SweepServer::stop()
             t.join();
     }
     connThreads.clear();
+    finishedConns.clear();
     if (!cfg.socketPath.empty())
         ::unlink(cfg.socketPath.c_str());
 }

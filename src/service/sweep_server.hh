@@ -4,7 +4,9 @@
  * an optional loopback TCP listener) speaking the service/protocol.hh
  * frame format, one thread per connection over a single shared
  * SweepService — so every connection hits the same RecordingCache and
- * the same persistent thread pool.
+ * the same persistent thread pool. A connection's thread is joined by
+ * the accept loop once the connection ends, so threads never pile up
+ * over uptime.
  *
  * The server never fatal()s on anything a client sent: malformed
  * frames, oversized lengths, unknown grids and bad parameter values all
@@ -81,6 +83,9 @@ class SweepServer
     std::vector<std::thread> acceptThreads;
     std::vector<std::thread> connThreads; //!< guarded by mtx
     std::vector<int> connFds;             //!< guarded by mtx
+    /** Connections whose thread has finished serving, not yet joined
+     *  (guarded by mtx); acceptLoop reaps them. */
+    std::vector<std::thread::id> finishedConns;
 };
 
 } // namespace loopspec

@@ -4,15 +4,8 @@
 #include <chrono>
 #include <cmath>
 
-#include "dataspec/conflict_profiler.hh"
-#include "harness/runner.hh"
-#include "loop/cls.hh"
-#include "loop/loop_detector.hh"
-#include "speculation/ideal_tpc.hh"
-#include "trace_io/replay_source.hh"
 #include "trace_io/trace_codec.hh"
 #include "util/cli.hh"
-#include "util/logging.hh"
 #include "workloads/workload.hh"
 
 namespace loopspec
@@ -105,26 +98,9 @@ SweepService::validateGrid(const SweepGrid &grid) const
         return "trace-dir '" + grid.traceDir +
                "' is not served by this server";
 
-    if (grid.clsSizes.empty())
-        return "sweep grid needs at least one CLS size";
-    for (size_t cls : grid.clsSizes) {
-        if (cls < 1 || cls > clsMaxCapacity)
-            return strprintf("CLS size %zu outside [1, %zu]", cls,
-                             clsMaxCapacity);
-    }
-    for (unsigned tu : grid.tuCounts) {
-        if (tu < 1)
-            return "TU count must be >= 1";
-    }
-
-    const bool data = grid.needsDataCorrectness();
-    if ((data || grid.dataSpec) && grid.clsSizes.size() > 1)
-        return "data-speculation artifacts cannot be derived by "
-               "control-trace replay; use a single-CLS grid";
-    if ((data || grid.dataSpec || grid.needsConflictProfile()) &&
-        !grid.traceDir.empty())
-        return "data-speculation artifacts need operand values, which "
-               "a control-trace replay cannot provide";
+    std::string err = validateSweepGrid(grid);
+    if (!err.empty())
+        return err;
 
     for (const std::string &w : grid.workloads) {
         if (grid.traceDir.empty()) {
@@ -141,256 +117,6 @@ SweepService::validateGrid(const SweepGrid &grid) const
 }
 
 std::string
-SweepService::materializeWorkload(
-    const SweepGrid &grid, size_t w,
-    std::vector<std::shared_ptr<const CachedRecording>> *recs,
-    std::vector<SweepRow> *rows)
-{
-    const std::string &name = grid.workloads[w];
-    const size_t num_c = grid.clsSizes.size();
-    const bool cells = grid.hasCells();
-    const bool from_traces = !grid.traceDir.empty();
-    const std::string src = from_traces ? grid.traceDir : "run";
-
-    // Operand-dependent needs (docs/DATASPEC.md): live-in annotations
-    // must come from a functional pass (single-CLS, validateGrid);
-    // conflict annotations re-derive per CLS from the cached
-    // memory-access sidecar; the §4 report is a per-workload row
-    // artifact. Annotated recordings are keyed apart from plain ones.
-    const bool need_data = grid.needsDataCorrectness();
-    const bool conflicts = cells && grid.needsConflictProfile();
-    const bool need_report = grid.dataSpec;
-    std::string ann;
-    if (need_data)
-        ann += "l";
-    if (conflicts)
-        ann += "m";
-
-    // 1. Recording lookups — a fully warm cells-only workload needs no
-    // control trace and no functional pass at all.
-    std::vector<size_t> missing;
-    if (cells) {
-        for (size_t c = 0; c < num_c; ++c) {
-            (*recs)[c] = cache.getRecording(RecordingCache::recordingKey(
-                name, grid.scale.factor, grid.maxInstrs, src,
-                grid.clsSizes[c], ann));
-            if (!(*recs)[c])
-                missing.push_back(c);
-        }
-    }
-
-    std::shared_ptr<const CachedDataReport> dsrep;
-    if (need_report) {
-        dsrep = cache.getDataReport(RecordingCache::dataReportKey(
-            name, grid.scale.factor, grid.maxInstrs, src));
-    }
-    std::shared_ptr<const CachedMemTrace> mt;
-    if (conflicts && !missing.empty()) {
-        mt = cache.getMemTrace(RecordingCache::memTraceKey(
-            name, grid.scale.factor, grid.maxInstrs, src));
-    }
-
-    // A live-in-annotated recording cannot be derived by replay: when
-    // it is missing (single CLS), the functional pass produces it
-    // directly and the replay stage below has nothing left to do.
-    const bool pass_recording = need_data && !missing.empty();
-
-    // Rows-only grids still need totalInstrs, which the trace carries.
-    const bool need_trace = grid.ideal || !cells ||
-                            (!missing.empty() && !pass_recording);
-
-    std::shared_ptr<const CachedControlTrace> ct;
-    const std::string tkey = RecordingCache::traceKey(
-        name, grid.scale.factor, grid.maxInstrs, src);
-    if (need_trace)
-        ct = cache.getTrace(tkey);
-
-    // 2a. One functional pass covers every operand-dependent miss
-    // (exactly what runSpecSweep's stage 1 would run), its products
-    // frozen into the cache so the next data-speculation request over
-    // this workload is served without executing it.
-    const bool live_pass = pass_recording || (need_report && !dsrep) ||
-                           (conflicts && !missing.empty() && !mt);
-    if (live_pass) {
-        RunOptions opts;
-        opts.scale = grid.scale;
-        opts.maxInstrs = grid.maxInstrs;
-        opts.clsEntries = grid.clsSizes[0];
-        CollectFlags flags;
-        flags.recording = pass_recording;
-        flags.dataCorrectness = pass_recording;
-        flags.dataSpec = need_report;
-        flags.memTrace = conflicts && !mt;
-        flags.controlTrace = need_trace && !ct;
-        WorkloadArtifacts art = runWorkload(name, opts, flags);
-        if (flags.memTrace) {
-            auto built = std::make_shared<CachedMemTrace>();
-            built->trace = std::move(art.memTrace);
-            mt = cache.putMemTrace(
-                RecordingCache::memTraceKey(name, grid.scale.factor,
-                                            grid.maxInstrs, src),
-                std::move(built));
-        }
-        if (need_report || pass_recording) {
-            auto built = std::make_shared<CachedDataReport>();
-            built->report = art.dataSpec;
-            dsrep = cache.putDataReport(
-                RecordingCache::dataReportKey(name, grid.scale.factor,
-                                              grid.maxInstrs, src),
-                std::move(built));
-        }
-        if (flags.controlTrace) {
-            auto built = std::make_shared<CachedControlTrace>();
-            built->trace = std::move(art.controlTrace);
-            ct = cache.putTrace(tkey, std::move(built));
-        }
-        if (pass_recording) {
-            LoopEventRecording r = std::move(art.recording);
-            if (conflicts)
-                annotateConflicts(&r, profileConflicts(r, mt->trace));
-            (*recs)[0] = cache.putRecording(
-                RecordingCache::recordingKey(name, grid.scale.factor,
-                                             grid.maxInstrs, src,
-                                             grid.clsSizes[0], ann),
-                std::make_shared<CachedRecording>(std::move(r)));
-            missing.clear();
-        }
-    }
-
-    // 2b. Get-or-build the control trace.
-    if (need_trace) {
-        if (!ct) {
-            auto built = std::make_shared<CachedControlTrace>();
-            if (from_traces) {
-                std::string err = loadControlTraceFile(
-                    traceFilePath(grid.traceDir, name, kControlTraceExt),
-                    &built->trace);
-                if (!err.empty())
-                    return name + ": " + err;
-            } else {
-                RunOptions opts;
-                opts.scale = grid.scale;
-                opts.maxInstrs = grid.maxInstrs;
-                opts.clsEntries = grid.clsSizes[0];
-                CollectFlags flags;
-                flags.controlTrace = true;
-                built->trace =
-                    std::move(runWorkload(name, opts, flags)
-                                  .controlTrace);
-            }
-            ct = cache.putTrace(tkey, std::move(built));
-        }
-    }
-
-    // The window actually simulated: in-process traces are recorded
-    // already truncated; a served container is clamped here exactly
-    // like runWorkloadFromTrace clamps its streamer.
-    uint64_t total = 0;
-    if (ct) {
-        total = ct->trace.totalInstrs;
-        if (grid.maxInstrs && grid.maxInstrs < total)
-            total = grid.maxInstrs;
-    } else {
-        total = (*recs)[0]->recording.totalInstrs;
-    }
-
-    // 3. Derive every missing recording in ONE interleaved replay walk
-    // (chunk-lockstep across CLS sizes, like runSpecSweep's stage 1),
-    // then freeze recording+index into the cache together.
-    if (!missing.empty()) {
-        struct DeriveState
-        {
-            LoopDetector det;
-            LoopEventRecorder rec;
-            explicit DeriveState(size_t cls_entries) : det({cls_entries})
-            {
-            }
-        };
-        std::vector<std::unique_ptr<DeriveState>> states;
-        std::vector<std::unique_ptr<ReplaySource>> sources;
-        std::vector<ReplaySource *> source_ptrs;
-        for (size_t c : missing) {
-            auto st = std::make_unique<DeriveState>(grid.clsSizes[c]);
-            st->det.addListener(&st->rec);
-            sources.push_back(std::make_unique<ControlTraceSource>(
-                ct->trace, st->det, grid.maxInstrs));
-            source_ptrs.push_back(sources.back().get());
-            states.push_back(std::move(st));
-        }
-        std::string err = interleaveReplay(source_ptrs);
-        if (!err.empty())
-            return name + ": " + err;
-        for (size_t i = 0; i < missing.size(); ++i) {
-            const size_t c = missing[i];
-            LoopEventRecording r = states[i]->rec.take();
-            // Conflict annotations are CLS-dependent but replay-
-            // derivable: the sidecar is one pass, the profile walk is
-            // per recording (exactly runSpecSweep's stage 1).
-            if (conflicts)
-                annotateConflicts(&r, profileConflicts(r, mt->trace));
-            (*recs)[c] = cache.putRecording(
-                RecordingCache::recordingKey(name, grid.scale.factor,
-                                             grid.maxInstrs, src,
-                                             grid.clsSizes[c], ann),
-                std::make_shared<CachedRecording>(std::move(r)));
-        }
-    }
-
-    // 4. Ideal ∞-TU TPC per CLS: one full walk and one half-prefix
-    // walk over the shared trace. Replay-derived values are identical
-    // to the live pass's (the pipeline-equivalence guarantee), so the
-    // response cannot tell which path produced them.
-    std::vector<double> ideal_full(num_c, 0.0);
-    std::vector<double> ideal_prefix(num_c, 0.0);
-    if (grid.ideal) {
-        struct IdealState
-        {
-            LoopDetector det;
-            IdealTpcComputer ideal;
-            explicit IdealState(size_t cls_entries) : det({cls_entries})
-            {
-            }
-        };
-        for (int prefix = 0; prefix < 2; ++prefix) {
-            const uint64_t window =
-                prefix ? total / 2 : grid.maxInstrs;
-            std::vector<std::unique_ptr<IdealState>> states;
-            std::vector<std::unique_ptr<ReplaySource>> sources;
-            std::vector<ReplaySource *> source_ptrs;
-            for (size_t c = 0; c < num_c; ++c) {
-                auto st = std::make_unique<IdealState>(grid.clsSizes[c]);
-                st->det.addListener(&st->ideal);
-                sources.push_back(std::make_unique<ControlTraceSource>(
-                    ct->trace, st->det, window));
-                source_ptrs.push_back(sources.back().get());
-                states.push_back(std::move(st));
-            }
-            std::string err = interleaveReplay(source_ptrs);
-            if (!err.empty())
-                return name + ": " + err;
-            for (size_t c = 0; c < num_c; ++c) {
-                (prefix ? ideal_prefix : ideal_full)[c] =
-                    states[c]->ideal.tpc();
-            }
-        }
-    }
-
-    for (size_t c = 0; c < num_c; ++c) {
-        SweepRow &row = (*rows)[c];
-        row.workload = name;
-        row.clsEntries = grid.clsSizes[c];
-        row.totalInstrs = total;
-        if (grid.ideal) {
-            row.idealTpc = ideal_full[c];
-            row.idealTpcPrefix = ideal_prefix[c];
-        }
-        if (need_report)
-            row.dataSpec = dsrep->report;
-    }
-    return "";
-}
-
-std::string
 SweepService::run(const SweepGrid &grid, SweepResult *out)
 {
     using clk = std::chrono::steady_clock;
@@ -402,53 +128,13 @@ SweepService::run(const SweepGrid &grid, SweepResult *out)
         return err;
 
     SweepResult result;
-    result.grid = grid;
-    const size_t num_w = grid.workloads.size();
-    const size_t num_c = grid.clsSizes.size();
-    const bool cells = grid.hasCells();
-
-    result.rows.resize(num_w * num_c);
-    std::vector<std::shared_ptr<const CachedRecording>> recordings(
-        cells ? num_w * num_c : 0);
-
-    // Materialize per workload on the shared pool. Tasks must not
-    // throw or die: each workload reports through its own error slot.
-    std::vector<std::string> errors(num_w);
-    pool.parallelFor(num_w, [&](uint64_t w) {
-        std::vector<std::shared_ptr<const CachedRecording>> recs(num_c);
-        std::vector<SweepRow> rows(num_c);
-        errors[w] = materializeWorkload(grid, w, &recs, &rows);
-        if (!errors[w].empty())
-            return;
-        for (size_t c = 0; c < num_c; ++c) {
-            result.rows[w * num_c + c] = std::move(rows[c]);
-            if (cells)
-                recordings[w * num_c + c] = std::move(recs[c]);
-        }
-    });
-    for (const std::string &e : errors) {
-        if (!e.empty())
-            return e;
-    }
-
-    // Dedup counters describe the grid's work shape — what a cold
-    // standalone run performs — so warm and cold responses stay
-    // byte-identical. Real cache effectiveness is reported out of band
-    // (sweepd_client --stats).
-    result.functionalPasses = num_w;
-    result.recordingsProduced = cells ? num_w * num_c : 0;
-
-    if (cells) {
-        std::vector<const LoopEventRecording *> rec_ptrs(
-            recordings.size());
-        std::vector<const RecordingIndex *> idx_ptrs(recordings.size());
-        for (size_t i = 0; i < recordings.size(); ++i) {
-            rec_ptrs[i] = &recordings[i]->recording;
-            idx_ptrs[i] = &recordings[i]->index;
-        }
-        runSweepCells(grid, rec_ptrs, idx_ptrs, &result.cells, &pool,
-                      cfg.jobs);
-    }
+    std::vector<std::shared_ptr<const CachedRecording>> recordings;
+    err = materializeSweep(grid, cache, &pool, cfg.jobs, &result,
+                           &recordings);
+    if (!err.empty())
+        return err;
+    if (grid.hasCells())
+        runSweepCells(grid, recordings, &result.cells, &pool, cfg.jobs);
     result.cellsRun = result.cells.size();
     result.sweepSeconds =
         std::chrono::duration<double>(clk::now() - t0).count();

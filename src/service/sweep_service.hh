@@ -1,32 +1,21 @@
 /**
  * @file
- * The sweep service: runSpecSweep's three stages restructured around a
- * content-addressed RecordingCache so a long-running server amortises
- * functional passes across requests (docs/DESIGN.md §12).
+ * The sweep service: the one sweep pipeline of speculation/sweep.hh
+ * (materializeSweep + runSweepCells) driven with a persistent,
+ * content-addressed RecordingCache and thread pool, so a long-running
+ * server amortises functional passes across requests
+ * (docs/DESIGN.md §12). runSpecSweep runs the very same code with a
+ * zero-budget cache, so served results equal tools/sweep_loopspec's by
+ * construction, cold or warm.
  *
- * Staging is split so cached artifacts are immutable once built:
- *
- *  materialize — per workload, look up the (workload, CLS) recordings;
- *      on a miss, get-or-build the ControlTrace (in-process functional
- *      pass, or the loaded --trace-dir container) and derive every
- *      missing recording + index from it by interleaved replay, then
- *      freeze the results into the cache;
- *  run cells — fan the configuration cross-product over the persistent
- *      thread pool via runSweepCells(), reading only shared_ptr<const>
- *      recordings.
- *
- * Served results are bit-identical to tools/sweep_loopspec because
- * every cell goes through the exact stage-3 code path, and because
- * replay-derived recordings are proven indistinguishable from direct
- * functional passes (the --check-replay / pipeline-equivalence suites).
- * A fully warm request never executes a workload at all.
- *
- * Grids needing operand values (dataspec / +data / +mem / +all
- * policies) run the functional pass in-process and freeze its
- * operand-derived products — annotated recordings, the memory-access
- * sidecar, the §4 report — into the same cache, keyed apart from their
- * plain variants, so repeated data-speculation requests are served as
- * cheaply as control-only ones (docs/DATASPEC.md).
+ * What the cache keeps is exactly what requests read back: (workload,
+ * CLS) recordings with their indexes, and — for grids needing operand
+ * values (dataspec / +data / +mem / +all policies) — the operand-derived
+ * products: annotated recordings, the memory-access sidecar and the §4
+ * report, keyed apart from their plain variants. Control traces are
+ * transient: a pass records one only when this request derives further
+ * CLS sizes or the ideal prefix from it, and --trace-dir containers are
+ * streamed, never loaded whole. A fully warm request executes nothing.
  *
  * Everything here returns error strings instead of fatal()ing: a bad
  * remote grid must produce an ErrResp, never kill the daemon.
@@ -37,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,7 +67,9 @@ class SweepService
     std::string requestToGrid(const SweepRequest &req, SweepGrid *grid,
                               unsigned *jobs_echo) const;
 
-    /** Validate an already-built grid (requestToGrid calls this). */
+    /** Validate an already-built grid (requestToGrid calls this):
+     *  validateSweepGrid plus the service-only rules — no check-replay,
+     *  only the served trace directory, only known workloads. */
     std::string validateGrid(const SweepGrid &grid) const;
 
     /** Execute a validated grid. "" on success with *out filled. The
@@ -92,11 +82,6 @@ class SweepService
     uint64_t requestsServed() const { return served; }
 
   private:
-    std::string materializeWorkload(
-        const SweepGrid &grid, size_t w,
-        std::vector<std::shared_ptr<const CachedRecording>> *recs,
-        std::vector<SweepRow> *rows);
-
     SweepServiceConfig cfg;
     RecordingCache cache;
     ThreadPool pool;

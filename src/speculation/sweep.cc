@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "harness/runner.hh"
 #include "loop/cls.hh"
 #include "loop/loop_detector.hh"
+#include "service/recording_cache.hh"
 #include "speculation/ideal_tpc.hh"
 #include "speculation/spec_sim.hh"
 #include "trace_io/replay_source.hh"
@@ -26,20 +28,31 @@ namespace loopspec
 namespace
 {
 
-/** Policy-label suffix of a data mode (docs/DATASPEC.md). */
-const char *
-dataModeSuffix(DataMode mode)
+/** Every spelling of a data mode (docs/DATASPEC.md): its `dataspec=`
+ *  grid token, its policy-label suffix and its JSON `data_mode` name. */
+struct DataModeNames
 {
-    switch (mode) {
-      case DataMode::Profiled:
-        return "+data";
-      case DataMode::Conflicts:
-        return "+mem";
-      case DataMode::Full:
-        return "+all";
-      default:
-        return "";
+    DataMode mode;
+    const char *token;
+    const char *suffix;
+    const char *json;
+};
+
+constexpr DataModeNames kDataModeNames[] = {
+    {DataMode::None, "none", "", "none"},
+    {DataMode::Profiled, "live", "+data", "profiled"},
+    {DataMode::Conflicts, "mem", "+mem", "conflicts"},
+    {DataMode::Full, "all", "+all", "full"},
+};
+
+const DataModeNames &
+dataModeNames(DataMode mode)
+{
+    for (const DataModeNames &n : kDataModeNames) {
+        if (n.mode == mode)
+            return n;
     }
+    return kDataModeNames[0];
 }
 
 } // namespace
@@ -52,7 +65,7 @@ GridPolicy::name() const
     std::string base = policy == SpecPolicy::Pred
                            ? predictorName(predictor)
                            : specPolicyName(policy, nestLimit);
-    return base + dataModeSuffix(dataMode);
+    return base + dataModeNames(dataMode).suffix;
 }
 
 GridPolicy
@@ -198,26 +211,6 @@ SweepResult::meanHitPct(size_t p, size_t t, size_t c, size_t l) const
         c, p, t, l, +[](const SpecStats &s) { return 100.0 * s.hitRatio(); });
 }
 
-namespace
-{
-
-/** --check-replay support: a control-trace-derived recording must be
- *  indistinguishable from one recorded on a direct functional pass. */
-void
-checkDerivedRecording(const std::string &workload, size_t cls,
-                      const LoopEventRecording &direct,
-                      const LoopEventRecording &derived)
-{
-    std::string err = compareRecordings(direct, derived);
-    if (!err.empty()) {
-        fatal("%s: recording derived at CLS %zu diverges from a direct "
-              "functional pass: %s",
-              workload.c_str(), cls, err.c_str());
-    }
-}
-
-} // namespace
-
 void
 applyPaperAxes(SweepGrid *grid)
 {
@@ -239,16 +232,11 @@ namespace
 std::string
 tryParseGridPolicy(std::string text, GridPolicy *gp)
 {
-    static const std::pair<const char *, DataMode> suffixes[] = {
-        {"+data", DataMode::Profiled},
-        {"+mem", DataMode::Conflicts},
-        {"+all", DataMode::Full},
-    };
-    for (const auto &[suffix, mode] : suffixes) {
-        size_t len = std::string(suffix).size();
-        if (text.size() > len &&
-            text.compare(text.size() - len, len, suffix) == 0) {
-            gp->dataMode = mode;
+    for (const DataModeNames &n : kDataModeNames) {
+        const size_t len = std::strlen(n.suffix);
+        if (len && text.size() > len &&
+            text.compare(text.size() - len, len, n.suffix) == 0) {
+            gp->dataMode = n.mode;
             text.resize(text.size() - len);
             break;
         }
@@ -406,18 +394,16 @@ applyGridSpec(const std::string &spec, SweepGrid *grid)
             } else {
                 data_modes.clear();
                 for (const auto &v : vals) {
-                    if (v == "none")
-                        data_modes.push_back(DataMode::None);
-                    else if (v == "live")
-                        data_modes.push_back(DataMode::Profiled);
-                    else if (v == "mem")
-                        data_modes.push_back(DataMode::Conflicts);
-                    else if (v == "all")
-                        data_modes.push_back(DataMode::Full);
-                    else
+                    const DataModeNames *found = nullptr;
+                    for (const DataModeNames &n : kDataModeNames) {
+                        if (v == n.token)
+                            found = &n;
+                    }
+                    if (!found)
                         return "grid: bad dataspec mode '" + v +
                                "' (want none|live|mem|all, or a "
                                "single 0/1)";
+                    data_modes.push_back(found->mode);
                 }
                 have_data_modes = true;
             }
@@ -450,7 +436,7 @@ applyGridSpec(const std::string &spec, SweepGrid *grid)
                 GridPolicy copy = gp;
                 copy.dataMode = mode;
                 if (!copy.label.empty())
-                    copy.label += dataModeSuffix(mode);
+                    copy.label += dataModeNames(mode).suffix;
                 crossed.push_back(std::move(copy));
             }
         }
@@ -459,45 +445,113 @@ applyGridSpec(const std::string &spec, SweepGrid *grid)
     return "";
 }
 
-SweepResult
-runSpecSweep(const SweepGrid &grid, unsigned jobs)
+std::string
+validateSweepGrid(const SweepGrid &grid)
 {
-    using clk = std::chrono::steady_clock;
-    const auto t0 = clk::now();
-    const auto elapsed = [&t0] {
-        return std::chrono::duration<double>(clk::now() - t0).count();
-    };
-
-    SweepResult out;
-    out.grid = grid;
-
-    const size_t num_w = grid.workloads.size();
-    if (num_w == 0) {
-        out.sweepSeconds = elapsed();
-        return out;
+    if (grid.clsSizes.empty())
+        return "sweep grid needs at least one CLS size";
+    for (size_t cls : grid.clsSizes) {
+        if (cls < 1 || cls > clsMaxCapacity)
+            return strprintf("CLS size %zu outside [1, %zu]", cls,
+                             clsMaxCapacity);
     }
+    for (unsigned tu : grid.tuCounts) {
+        if (tu < 1)
+            return "TU count must be >= 1";
+    }
+    // Live-in flags and the §4 report read register values, which only
+    // the functional pass sees — single CLS only. Conflict profiles are
+    // a pure function of (recording, memory sidecar) and re-derive at
+    // every CLS, so Conflicts-only grids stay multi-CLS legal.
+    const bool live = grid.needsDataCorrectness() || grid.dataSpec;
+    if (live && grid.clsSizes.size() > 1)
+        return "data-speculation artifacts read operand values and "
+               "cannot be derived by control-trace replay; use a "
+               "single-CLS grid";
+    if (!grid.traceDir.empty() && (live || grid.needsConflictProfile()))
+        return "data-speculation artifacts read operand values, which a "
+               "control-trace replay (--trace-dir) cannot provide";
+    return "";
+}
+
+namespace
+{
+
+/**
+ * Materialize one workload's rows and recordings through @p cache.
+ * Cached artifacts are reused; what is missing comes from one
+ * functional pass (a streaming replay under --trace-dir) at CLS[0],
+ * plus — only when a further CLS size or the ideal prefix needs it — a
+ * control trace that every further size replays in one interleaved
+ * walk. @p recs is null when the grid has no cells.
+ */
+std::string
+materializeOneWorkload(const SweepGrid &grid, const std::string &name,
+                       RecordingCache &cache, SweepRow *rows,
+                       std::shared_ptr<const CachedRecording> *recs)
+{
     const size_t num_c = grid.clsSizes.size();
-    if (num_c == 0)
-        fatal("sweep grid needs at least one CLS size");
-    const bool cells = grid.hasCells();
+    const bool cells = recs != nullptr;
     const bool data = grid.needsDataCorrectness();
     const bool conflicts = cells && grid.needsConflictProfile();
-    // Live-in flags read register values, which only the functional
-    // pass sees — single CLS only. Conflict profiles are a pure
-    // function of (recording, memory sidecar) and re-derive at every
-    // CLS, so Conflicts-only grids stay multi-CLS legal.
-    if ((data || grid.dataSpec) && num_c > 1) {
-        fatal("data-speculation artifacts read operand values and cannot "
-              "be derived by control-trace replay; use a single-CLS grid");
-    }
     const bool from_traces = !grid.traceDir.empty();
-    if (from_traces && (data || conflicts || grid.dataSpec)) {
-        fatal("data-speculation artifacts read operand values, which a "
-              "control-trace replay (--trace-dir) cannot provide");
+    const double scale = grid.scale.factor;
+    const std::string src = from_traces ? grid.traceDir : "run";
+    // Annotated recordings are keyed apart from plain ones.
+    const std::string ann =
+        std::string(data ? "l" : "") + (conflicts ? "m" : "");
+    const auto rec_key = [&](size_t c) {
+        return RecordingCache::recordingKey(name, scale, grid.maxInstrs,
+                                            src, grid.clsSizes[c], ann);
+    };
+
+    std::vector<bool> missing(num_c, false);
+    bool any_missing = false;
+    for (size_t c = 0; cells && c < num_c; ++c) {
+        recs[c] = cache.getRecording(rec_key(c));
+        missing[c] = !recs[c];
+        any_missing = any_missing || missing[c];
+    }
+    std::shared_ptr<const CachedDataReport> dsrep;
+    if (grid.dataSpec)
+        dsrep = cache.getDataReport(RecordingCache::dataReportKey(
+            name, scale, grid.maxInstrs, src));
+    std::shared_ptr<const CachedMemTrace> mt;
+    if (conflicts && any_missing)
+        mt = cache.getMemTrace(RecordingCache::memTraceKey(
+            name, scale, grid.maxInstrs, src));
+
+    const auto fill_rows = [&](uint64_t total_instrs) {
+        for (size_t c = 0; c < num_c; ++c) {
+            rows[c].workload = name;
+            rows[c].clsEntries = grid.clsSizes[c];
+            rows[c].totalInstrs = total_instrs;
+            if (dsrep)
+                rows[c].dataSpec = dsrep->report;
+        }
+    };
+    // A fully warm request executes nothing.
+    if (cells && !any_missing && !grid.ideal && (!grid.dataSpec || dsrep)) {
+        fill_rows(recs[0]->recording.totalInstrs);
+        return "";
     }
 
-    out.rows.resize(num_w * num_c);
-    std::vector<LoopEventRecording> recordings(cells ? num_w * num_c : 0);
+    bool derive = false;
+    for (size_t c = 1; c < num_c; ++c)
+        derive = derive || missing[c] || grid.ideal;
+
+    // Under --trace-dir the container is the control trace; opening it
+    // up front turns a missing or malformed file into an error string
+    // instead of a fatal() inside the pass.
+    std::unique_ptr<TraceFileStreamer> streamer;
+    if (from_traces) {
+        std::string err;
+        streamer = TraceFileStreamer::open(
+            traceFilePath(grid.traceDir, name, kControlTraceExt),
+            StreamConfig{}, &err);
+        if (!streamer)
+            return err;
+    }
 
     RunOptions opts;
     opts.scale = grid.scale;
@@ -506,191 +560,186 @@ runSpecSweep(const SweepGrid &grid, unsigned jobs)
     opts.clsEntries = grid.clsSizes[0];
     opts.traceDir = grid.traceDir;
 
-    // Extra CLS sizes only matter when something is derived per size (a
-    // recording for cells, or the ideal artifacts); rows-only grids copy
-    // the live pass and need no control trace. In trace-dir mode the
-    // on-disk container *is* the control trace: derived sizes re-stream
-    // it instead of buffering a materialized copy.
-    const bool derive_cls = num_c > 1 && (cells || grid.ideal);
-
     CollectFlags flags;
-    flags.recording = cells;
+    flags.recording = missing[0];
+    flags.dataCorrectness = data && missing[0];
     flags.ideal = grid.ideal;
-    flags.dataSpec = grid.dataSpec;
-    flags.dataCorrectness = data;
-    flags.memTrace = conflicts;
-    flags.controlTrace = derive_cls && !from_traces;
+    flags.dataSpec = grid.dataSpec && !dsrep;
+    flags.memTrace = conflicts && any_missing && !mt;
+    flags.controlTrace = derive && !from_traces;
+    WorkloadArtifacts art = runWorkload(name, opts, flags);
 
-    // Stage 1: one functional pass per workload; every further CLS size
-    // is derived from that pass's control trace inside the same work
-    // item, so the trace is freed before the worker moves on.
-    parallelFor(jobs, num_w, [&](uint64_t w) {
-        WorkloadArtifacts art =
-            runWorkload(grid.workloads[w], opts, flags);
-        for (size_t c = 0; c < num_c; ++c) {
-            SweepRow &row = out.rows[w * num_c + c];
-            row.workload = grid.workloads[w];
-            row.clsEntries = grid.clsSizes[c];
-            row.totalInstrs = art.totalInstrs;
-        }
-        SweepRow &row0 = out.rows[w * num_c];
-        row0.idealTpc = art.idealTpc;
-        row0.idealTpcPrefix = art.idealTpcPrefix;
-        row0.dataSpec = art.dataSpec;
-        if (cells)
-            recordings[w * num_c] = std::move(art.recording);
+    if (flags.memTrace) {
+        auto built = std::make_shared<CachedMemTrace>();
+        built->trace = std::move(art.memTrace);
+        mt = cache.putMemTrace(RecordingCache::memTraceKey(
+                                   name, scale, grid.maxInstrs, src),
+                               std::move(built));
+    }
+    if (flags.dataSpec) {
+        auto built = std::make_shared<CachedDataReport>();
+        built->report = art.dataSpec;
+        dsrep = cache.putDataReport(RecordingCache::dataReportKey(
+                                        name, scale, grid.maxInstrs, src),
+                                    std::move(built));
+    }
+    // Conflicts/Full: every CLS's recording is annotated from the
+    // shared, CLS-independent memory sidecar of the one pass; then the
+    // recording is indexed and frozen.
+    const auto freeze = [&](size_t c, LoopEventRecording r) {
+        if (conflicts)
+            annotateConflicts(&r, profileConflicts(r, mt->trace));
+        recs[c] = cache.putRecording(
+            rec_key(c), std::make_shared<CachedRecording>(std::move(r)));
+    };
+    if (missing[0])
+        freeze(0, std::move(art.recording));
 
-        // Trace-dir mode re-streams the container per derived size
-        // (each pump keeps its own bounded-buffer cursor over the
-        // shared fd) rather than materializing the transfers in memory.
-        std::unique_ptr<TraceFileStreamer> streamer;
-        if (derive_cls && from_traces) {
-            std::string err;
-            streamer = TraceFileStreamer::open(
-                traceFilePath(grid.traceDir, grid.workloads[w],
-                              kControlTraceExt),
-                StreamConfig{}, &err);
-            if (!streamer)
-                fatal("%s", err.c_str());
-        }
+    fill_rows(art.totalInstrs);
+    rows[0].idealTpc = art.idealTpc;
+    rows[0].idealTpcPrefix = art.idealTpcPrefix;
+    if (!derive)
+        return "";
 
-        // All derived CLS sizes replay the *same* recorded control
-        // stream, so instead of N-1 sequential full passes the sources
-        // advance round-robin in fixed-size chunks (interleaveReplay):
-        // each chunk of trace bytes is pulled through the cache once
-        // and consumed by every derived detector while still resident.
-        // Per-source artifacts are bit-identical to sequential replay.
-        struct DerivedState
+    // Every further CLS size replays the same recorded control stream.
+    // The sources advance round-robin in fixed-size chunks
+    // (interleaveReplay), so each chunk of trace bytes is pulled through
+    // the cache once and consumed by every derived detector while still
+    // resident; per-source artifacts are bit-identical to sequential
+    // replay. The second walk is Figure 8's half-trace prefix.
+    struct DerivedState
+    {
+        size_t c;
+        LoopDetector det;
+        LoopEventRecorder rec;
+        IdealTpcComputer ideal;
+        DerivedState(size_t cls_idx, size_t cls_entries)
+            : c(cls_idx), det({cls_entries})
         {
-            LoopDetector det;
-            LoopEventRecorder rec;
-            IdealTpcComputer ideal;
-            explicit DerivedState(size_t cls_entries)
-                : det({cls_entries})
-            {
-            }
-        };
-        const auto interleave = [&](const std::vector<ReplaySource *>
-                                        &sources) {
-            std::string err = interleaveReplay(sources);
-            if (!err.empty())
-                fatal("%s", err.c_str());
-        };
-        if (derive_cls) {
-            std::vector<std::unique_ptr<DerivedState>> states;
-            std::vector<std::unique_ptr<ReplaySource>> sources;
-            std::vector<ReplaySource *> source_ptrs;
-            for (size_t c = 1; c < num_c; ++c) {
-                auto st =
-                    std::make_unique<DerivedState>(grid.clsSizes[c]);
-                if (cells)
-                    st->det.addListener(&st->rec);
-                if (grid.ideal)
-                    st->det.addListener(&st->ideal);
-                if (from_traces)
-                    sources.push_back(
-                        std::make_unique<StreamedControlSource>(
-                            *streamer, st->det, grid.maxInstrs));
-                else
-                    sources.push_back(
-                        std::make_unique<ControlTraceSource>(
-                            art.controlTrace, st->det));
-                source_ptrs.push_back(sources.back().get());
-                states.push_back(std::move(st));
-            }
-            interleave(source_ptrs);
-
-            for (size_t c = 1; c < num_c; ++c) {
-                SweepRow &row = out.rows[w * num_c + c];
-                DerivedState &st = *states[c - 1];
-                if (cells) {
-                    recordings[w * num_c + c] = st.rec.take();
-                    if (grid.checkReplay) {
-                        RunOptions direct = opts;
-                        direct.clsEntries = grid.clsSizes[c];
-                        direct.checkReplay = false;
-                        CollectFlags rec_only;
-                        rec_only.recording = true;
-                        checkDerivedRecording(
-                            grid.workloads[w], grid.clsSizes[c],
-                            runWorkload(grid.workloads[w], direct,
-                                        rec_only)
-                                .recording,
-                            recordings[w * num_c + c]);
-                    }
-                }
-                if (grid.ideal)
-                    row.idealTpc = st.ideal.tpc();
-            }
-
-            // Half-trace prefix replays (Figure 8's convergence check)
-            // interleave the same way.
-            if (grid.ideal) {
-                std::vector<std::unique_ptr<DerivedState>> pstates;
-                std::vector<std::unique_ptr<ReplaySource>> psources;
-                std::vector<ReplaySource *> psource_ptrs;
-                for (size_t c = 1; c < num_c; ++c) {
-                    auto st =
-                        std::make_unique<DerivedState>(grid.clsSizes[c]);
-                    st->det.addListener(&st->ideal);
-                    if (from_traces)
-                        psources.push_back(
-                            std::make_unique<StreamedControlSource>(
-                                *streamer, st->det,
-                                art.totalInstrs / 2));
-                    else
-                        psources.push_back(
-                            std::make_unique<ControlTraceSource>(
-                                art.controlTrace, st->det,
-                                art.totalInstrs / 2));
-                    psource_ptrs.push_back(psources.back().get());
-                    pstates.push_back(std::move(st));
-                }
-                interleave(psource_ptrs);
-                for (size_t c = 1; c < num_c; ++c)
-                    out.rows[w * num_c + c].idealTpcPrefix =
-                        pstates[c - 1]->ideal.tpc();
-            }
         }
-
-        // Conflicts/Full: annotate every CLS's recording with the
-        // cross-iteration dependence sources profiled from the shared,
-        // CLS-independent memory sidecar of the single functional pass.
-        if (conflicts) {
-            for (size_t c = 0; c < num_c; ++c) {
-                LoopEventRecording &r = recordings[w * num_c + c];
-                annotateConflicts(&r,
-                                  profileConflicts(r, art.memTrace));
-            }
+    };
+    for (bool prefix : {false, true}) {
+        if (prefix && !grid.ideal)
+            break;
+        const uint64_t window =
+            prefix ? art.totalInstrs / 2 : grid.maxInstrs;
+        std::vector<std::unique_ptr<DerivedState>> states;
+        std::vector<std::unique_ptr<ReplaySource>> sources;
+        std::vector<ReplaySource *> source_ptrs;
+        for (size_t c = 1; c < num_c; ++c) {
+            const bool record = !prefix && missing[c];
+            if (!record && !grid.ideal)
+                continue;
+            auto st = std::make_unique<DerivedState>(c, grid.clsSizes[c]);
+            if (record)
+                st->det.addListener(&st->rec);
+            if (grid.ideal)
+                st->det.addListener(&st->ideal);
+            if (from_traces)
+                sources.push_back(std::make_unique<StreamedControlSource>(
+                    *streamer, st->det, window));
+            else
+                sources.push_back(std::make_unique<ControlTraceSource>(
+                    art.controlTrace, st->det, window));
+            source_ptrs.push_back(sources.back().get());
+            states.push_back(std::move(st));
         }
-    });
-    out.functionalPasses = num_w;
-    out.recordingsProduced = cells ? num_w * num_c : 0;
+        std::string err = interleaveReplay(source_ptrs);
+        if (!err.empty())
+            return err;
 
-    if (!cells) {
-        out.sweepSeconds = elapsed();
-        return out;
+        for (const auto &st : states) {
+            SweepRow &row = rows[st->c];
+            if (grid.ideal)
+                (prefix ? row.idealTpcPrefix : row.idealTpc) =
+                    st->ideal.tpc();
+            if (prefix || !missing[st->c])
+                continue;
+            LoopEventRecording r = st->rec.take();
+            if (grid.checkReplay) {
+                // A control-trace-derived recording must be
+                // indistinguishable from one recorded on a direct pass.
+                RunOptions direct = opts;
+                direct.clsEntries = grid.clsSizes[st->c];
+                direct.checkReplay = false;
+                CollectFlags rec_only;
+                rec_only.recording = true;
+                err = compareRecordings(
+                    runWorkload(name, direct, rec_only).recording, r);
+                if (!err.empty())
+                    return strprintf(
+                        "%s: recording derived at CLS %zu diverges from "
+                        "a direct functional pass: %s",
+                        name.c_str(), grid.clsSizes[st->c], err.c_str());
+            }
+            freeze(st->c, std::move(r));
+        }
+    }
+    return "";
+}
+
+} // namespace
+
+std::string
+materializeSweep(const SweepGrid &grid, RecordingCache &cache,
+                 ThreadPool *pool, unsigned jobs, SweepResult *out,
+                 std::vector<std::shared_ptr<const CachedRecording>>
+                     *recordings)
+{
+    const size_t num_w = grid.workloads.size();
+    const size_t num_c = grid.clsSizes.size();
+    const bool cells = grid.hasCells();
+    out->grid = grid;
+    out->rows.assign(num_w * num_c, SweepRow{});
+    recordings->assign(cells ? num_w * num_c : 0, nullptr);
+
+    // One item per workload; its pass and control trace are freed
+    // before the worker moves on. Items report through their own slots.
+    std::vector<std::string> errors(num_w);
+    const auto item = [&](uint64_t w) {
+        errors[w] = materializeOneWorkload(
+            grid, grid.workloads[w], cache, &out->rows[w * num_c],
+            cells ? &(*recordings)[w * num_c] : nullptr);
+    };
+    if (pool)
+        pool->parallelFor(num_w, item);
+    else
+        parallelFor(jobs, num_w, item);
+    for (const std::string &e : errors) {
+        if (!e.empty())
+            return e;
     }
 
-    // Stage 2: one shared read-only index per recording — every
-    // configuration over a recording reuses the same segment/parent
-    // tables instead of rebuilding them per simulator.
-    std::vector<std::unique_ptr<RecordingIndex>> indexes(num_w * num_c);
-    parallelFor(jobs, indexes.size(), [&](uint64_t i) {
-        indexes[i] = std::make_unique<RecordingIndex>(recordings[i]);
-    });
+    // Dedup counters describe the grid's work shape — what a cold run
+    // performs — so warm and cold results stay byte-identical.
+    out->functionalPasses = num_w;
+    out->recordingsProduced = cells ? num_w * num_c : 0;
+    return "";
+}
 
-    // Stage 3: fan the configuration cross-product out with one
-    // pre-allocated result slot per cell.
-    std::vector<const LoopEventRecording *> rec_ptrs(recordings.size());
-    std::vector<const RecordingIndex *> idx_ptrs(indexes.size());
-    for (size_t i = 0; i < recordings.size(); ++i) {
-        rec_ptrs[i] = &recordings[i];
-        idx_ptrs[i] = indexes[i].get();
-    }
-    runSweepCells(grid, rec_ptrs, idx_ptrs, &out.cells, nullptr, jobs);
+SweepResult
+runSpecSweep(const SweepGrid &grid, unsigned jobs)
+{
+    using clk = std::chrono::steady_clock;
+    const auto t0 = clk::now();
+
+    std::string err = validateSweepGrid(grid);
+    if (!err.empty())
+        fatal("%s", err.c_str());
+
+    // A zero-budget cache caches nothing: every artifact is handed to
+    // this sweep and dropped from the cache at once.
+    RecordingCache none(0);
+    SweepResult out;
+    std::vector<std::shared_ptr<const CachedRecording>> recordings;
+    err = materializeSweep(grid, none, nullptr, jobs, &out, &recordings);
+    if (!err.empty())
+        fatal("%s", err.c_str());
+    if (grid.hasCells())
+        runSweepCells(grid, recordings, &out.cells, nullptr, jobs);
     out.cellsRun = out.cells.size();
-    out.sweepSeconds = elapsed();
+    out.sweepSeconds =
+        std::chrono::duration<double>(clk::now() - t0).count();
     return out;
 }
 
@@ -754,23 +803,23 @@ runSweepCells(const SweepGrid &grid,
         parallelFor(jobs, cells->size(), run_cell);
 }
 
+void
+runSweepCells(
+    const SweepGrid &grid,
+    const std::vector<std::shared_ptr<const CachedRecording>> &recordings,
+    std::vector<SweepCell> *cells, ThreadPool *pool, unsigned jobs)
+{
+    std::vector<const LoopEventRecording *> rec_ptrs(recordings.size());
+    std::vector<const RecordingIndex *> idx_ptrs(recordings.size());
+    for (size_t i = 0; i < recordings.size(); ++i) {
+        rec_ptrs[i] = &recordings[i]->recording;
+        idx_ptrs[i] = &recordings[i]->index;
+    }
+    runSweepCells(grid, rec_ptrs, idx_ptrs, cells, pool, jobs);
+}
+
 namespace
 {
-
-const char *
-dataModeName(DataMode mode)
-{
-    switch (mode) {
-      case DataMode::Profiled:
-        return "profiled";
-      case DataMode::Conflicts:
-        return "conflicts";
-      case DataMode::Full:
-        return "full";
-      default:
-        return "none";
-    }
-}
 
 void
 writeStringList(std::ostream &os, const std::vector<std::string> &items)
@@ -857,7 +906,7 @@ writeSweepJson(std::ostream &os, const SweepResult &result, unsigned jobs,
            << "\", \"cls\": " << grid.clsSizes[cell.clsIdx]
            << ", \"policy\": \"" << grid.policies[cell.policyIdx].name()
            << "\", \"data_mode\": \""
-           << dataModeName(grid.policies[cell.policyIdx].dataMode)
+           << dataModeNames(grid.policies[cell.policyIdx].dataMode).json
            << "\", \"tus\": " << grid.tuCounts[cell.tuIdx]
            << ", \"let\": " << grid.letEntries[cell.letIdx]
            << ", \"tpc\": " << s.tpc()

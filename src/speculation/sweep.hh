@@ -5,16 +5,24 @@
  *
  * A sweep is declared as a grid — workloads × CLS sizes × policies ×
  * TU counts × LET capacities, plus per-workload artifact switches (ideal
- * ∞-TU TPC, §4 data-speculation profile) — and executed in three
- * deterministic stages (docs/DESIGN.md §9):
+ * ∞-TU TPC, §4 data-speculation profile) — and executed by one pipeline
+ * shared by the command line and the sweep service (docs/DESIGN.md §9):
  *
- *  1. each *workload* is traced functionally exactly once (all grid
- *     cells over it share that pass);
- *  2. each required *(workload, CLS)* recording is produced exactly once
- *     — the first CLS size from the live pass, every further size by
- *     control-trace replay — and indexed once (RecordingIndex);
- *  3. the cross-product of ThreadSpecSimulator runs fans out over the
- *     thread pool, each cell writing only its own pre-allocated slot.
+ *  materialize (materializeSweep) — per workload, look every artifact up
+ *      in a RecordingCache; whatever is missing comes from ONE functional
+ *      pass (or a --trace-dir streaming replay), which yields CLS[0]'s
+ *      recording and ideal TPC directly. A control trace is recorded
+ *      only when a further CLS size or the ideal prefix needs it, and
+ *      every further size is derived from it in one interleaved replay
+ *      walk. Recordings are conflict-annotated and indexed once;
+ *  run cells (runSweepCells) — the cross-product of ThreadSpecSimulator
+ *      runs fans out over the thread pool, each cell writing only its
+ *      own pre-allocated slot.
+ *
+ * runSpecSweep drives this pipeline with a zero-budget cache, which
+ * caches nothing; sweepd (service/sweep_service.hh) drives the same
+ * code with a persistent one, so served results equal direct ones by
+ * construction.
  *
  * Results are bit-identical for any --jobs value, including fully
  * serial, because every cell is a pure function of its recording and
@@ -28,6 +36,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,7 +123,8 @@ struct SweepGrid
      * functional pass becomes an out-of-core streaming replay, and the
      * derived-CLS / prefix reruns re-stream the same file instead of
      * buffering a materialized ControlTrace. Grids needing operand values
-     * (dataSpec, needsDataCorrectness) are fatal in this mode.
+     * (dataSpec, any data mode) are illegal in this mode
+     * (validateSweepGrid).
      */
     std::string traceDir;
 
@@ -235,24 +245,56 @@ std::string applyGridSpec(const std::string &spec, SweepGrid *grid);
  */
 SweepResult runSpecSweep(const SweepGrid &grid, unsigned jobs = 0);
 
+/**
+ * The grid-legality rules every executor shares: at least one CLS size,
+ * CLS sizes in [1, clsMaxCapacity], TU counts >= 1, live-in data modes
+ * and the §4 report only on single-CLS grids (they read register values
+ * that only the functional pass sees), and no data mode or report on a
+ * --trace-dir grid. Returns "" when @p grid is legal, else the
+ * diagnostic (runSpecSweep fatal()s on it; the service answers it).
+ */
+std::string validateSweepGrid(const SweepGrid &grid);
+
+class RecordingCache;
 class RecordingIndex;
 class ThreadPool;
+struct CachedRecording;
 struct LoopEventRecording;
 
 /**
- * Stage 3 of runSpecSweep on pre-materialized recordings: fan the
+ * Materialize every row and recording of a validated @p grid through
+ * @p cache (docs/DESIGN.md §9): cached artifacts are reused, missing
+ * ones are produced by one functional pass per workload plus one
+ * interleaved replay walk, then inserted. Workloads fan out over
+ * @p pool (nullptr = a transient pool of @p jobs threads). Fills
+ * out->grid, out->rows and the dedup counters, and @p recordings with
+ * one handle per (workload-major, CLS-minor) point when the grid has
+ * cells. Returns "" on success, else the first workload's error.
+ */
+std::string
+materializeSweep(const SweepGrid &grid, RecordingCache &cache,
+                 ThreadPool *pool, unsigned jobs, SweepResult *out,
+                 std::vector<std::shared_ptr<const CachedRecording>>
+                     *recordings);
+
+/**
+ * The run-cells stage on pre-materialized recordings: fan the
  * configuration cross-product of @p grid out over @p pool (nullptr = a
  * transient pool of @p jobs threads, runSpecSweep's behaviour), one
  * pre-allocated slot per cell. @p recordings / @p indexes hold one
- * entry per (workload-major, CLS-minor) point. The sweep service runs
- * cells over cached immutable recordings through this exact code path,
- * which is what keeps served cells bit-identical to a direct sweep.
+ * entry per (workload-major, CLS-minor) point.
  */
 void runSweepCells(const SweepGrid &grid,
                    const std::vector<const LoopEventRecording *> &recordings,
                    const std::vector<const RecordingIndex *> &indexes,
                    std::vector<SweepCell> *cells, ThreadPool *pool,
                    unsigned jobs);
+
+/** runSweepCells over materializeSweep's recording handles. */
+void runSweepCells(
+    const SweepGrid &grid,
+    const std::vector<std::shared_ptr<const CachedRecording>> &recordings,
+    std::vector<SweepCell> *cells, ThreadPool *pool, unsigned jobs);
 
 /**
  * Consolidated machine-readable artifact (BENCH_specsim.json): the grid,

@@ -7,14 +7,19 @@
  * request encode/decode), request validation at the remote-input
  * boundary, and the core guarantee: a SweepService serves results
  * bit-identical to runSpecSweep / sweep_loopspec, cold and warm, for
- * cells, rows, ideal artifacts and the full JSON rendering — end to
- * end through a live SweepServer socket as well as in process.
+ * cells, rows, ideal artifacts and the full JSON rendering (in-process,
+ * --trace-dir, rows-only and zero-budget-cache grids) — end to end
+ * through a live SweepServer socket as well as in process — and a
+ * server that joins its finished connection threads.
  */
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -391,45 +396,89 @@ TEST(SweepService, ServedResultsMatchDirectSweepBitForBit)
                             &grid),
               "");
 
-    const SweepResult direct = runSpecSweep(grid, 2);
+    // The same grid replayed from exported containers, served from the
+    // directory they were exported to.
+    char dir_template[] = "/tmp/sweepd_test_traces_XXXXXX";
+    ASSERT_NE(mkdtemp(dir_template), nullptr);
+    const std::string trace_dir = dir_template;
+    RunOptions export_opts;
+    export_opts.scale = grid.scale;
+    for (const std::string &w : grid.workloads)
+        exportWorkloadTrace(w, export_opts, trace_dir,
+                            TraceEncoding::Varint);
+    SweepGrid traced = grid;
+    traced.traceDir = trace_dir;
 
-    SweepServiceConfig cfg;
-    cfg.jobs = 2;
-    SweepService svc(cfg);
+    // Rows only: no policies, so no recordings, just the ideal rows.
+    SweepGrid rows_only;
+    rows_only.workloads = grid.workloads;
+    rows_only.scale = grid.scale;
+    ASSERT_EQ(applyGridSpec("cls=8,16;ideal=1", &rows_only), "");
 
-    // Cold, then warm: identical results both times, and identical to
-    // the plain engine — rows, ideal artifacts, and every cell stat.
-    for (int pass = 0; pass < 2; ++pass) {
-        SweepResult served;
-        ASSERT_EQ(svc.run(grid, &served), "") << "pass " << pass;
-        ASSERT_EQ(served.rows.size(), direct.rows.size());
-        for (size_t i = 0; i < direct.rows.size(); ++i) {
-            EXPECT_EQ(served.rows[i].totalInstrs,
-                      direct.rows[i].totalInstrs);
-            // Exact double equality is the point: replay-derived
-            // artifacts are bit-identical, not approximately equal.
-            EXPECT_EQ(served.rows[i].idealTpc, direct.rows[i].idealTpc)
-                << "row " << i << " pass " << pass;
-            EXPECT_EQ(served.rows[i].idealTpcPrefix,
-                      direct.rows[i].idealTpcPrefix)
-                << "row " << i << " pass " << pass;
+    SweepServiceConfig cached;
+    cached.jobs = 2;
+    SweepServiceConfig traced_cfg = cached;
+    traced_cfg.traceDir = trace_dir;
+    SweepServiceConfig uncached = cached;
+    uncached.cacheBytes = 0;
+
+    struct Case
+    {
+        const char *what;
+        const SweepGrid &grid;
+        const SweepServiceConfig &cfg;
+    };
+    const Case cases[] = {{"in-process", grid, cached},
+                          {"trace-dir", traced, traced_cfg},
+                          {"rows-only", rows_only, cached},
+                          {"zero-budget cache", grid, uncached}};
+    for (const Case &k : cases) {
+        SCOPED_TRACE(k.what);
+        const SweepResult direct = runSpecSweep(k.grid, 2);
+        SweepService svc(k.cfg);
+
+        // Cold, then warm: identical results both times, and identical
+        // to the plain engine — rows, ideal artifacts, and every cell.
+        for (int pass = 0; pass < 2; ++pass) {
+            SweepResult served;
+            ASSERT_EQ(svc.run(k.grid, &served), "") << "pass " << pass;
+            ASSERT_EQ(served.rows.size(), direct.rows.size());
+            for (size_t i = 0; i < direct.rows.size(); ++i) {
+                EXPECT_EQ(served.rows[i].totalInstrs,
+                          direct.rows[i].totalInstrs);
+                // Exact double equality is the point: replay-derived
+                // artifacts are bit-identical, not approximately equal.
+                EXPECT_EQ(served.rows[i].idealTpc,
+                          direct.rows[i].idealTpc)
+                    << "row " << i << " pass " << pass;
+                EXPECT_EQ(served.rows[i].idealTpcPrefix,
+                          direct.rows[i].idealTpcPrefix)
+                    << "row " << i << " pass " << pass;
+            }
+            ASSERT_EQ(served.cells.size(), direct.cells.size());
+            for (size_t i = 0; i < direct.cells.size(); ++i) {
+                EXPECT_TRUE(served.cells[i].stats ==
+                            direct.cells[i].stats)
+                    << "cell " << i << " pass " << pass;
+            }
+            // The full JSON rendering (sans wall clock) matches too —
+            // the same guarantee the CI smoke test checks through the
+            // binary.
+            EXPECT_EQ(renderedWithoutWall(served, 2),
+                      renderedWithoutWall(direct, 2))
+                << "pass " << pass;
         }
-        ASSERT_EQ(served.cells.size(), direct.cells.size());
-        for (size_t i = 0; i < direct.cells.size(); ++i) {
-            EXPECT_TRUE(served.cells[i].stats == direct.cells[i].stats)
-                << "cell " << i << " pass " << pass;
+
+        const CacheStats s = svc.cacheStats();
+        if (k.cfg.cacheBytes == 0) {
+            EXPECT_EQ(s.entries, 0u) << "a zero budget caches nothing";
+        } else if (k.grid.hasCells()) {
+            // The warm pass was actually warm.
+            EXPECT_GT(s.hits, 0u);
+            EXPECT_GT(s.insertions, 0u);
         }
-        // The full JSON rendering (sans wall clock) matches too — the
-        // same guarantee the CI smoke test checks through the binary.
-        EXPECT_EQ(renderedWithoutWall(served, 2),
-                  renderedWithoutWall(direct, 2))
-            << "pass " << pass;
     }
-
-    // The warm pass was actually warm.
-    const CacheStats s = svc.cacheStats();
-    EXPECT_GT(s.hits, 0u);
-    EXPECT_GT(s.insertions, 0u);
+    std::filesystem::remove_all(trace_dir);
 }
 
 TEST(SweepService, DataSpecGridsAreServedFromCacheBitForBit)
@@ -611,4 +660,59 @@ TEST(SweepServer, ConcurrentClientsGetIdenticalResponses)
     server.stop();
     EXPECT_EQ(server.service().requestsServed(),
               uint64_t{kClients} * kItersPerClient);
+}
+
+namespace
+{
+
+/** A numeric field of /proc/self/status ("Threads:", "VmSize:" in kB);
+ *  -1 when absent. */
+long
+procStatus(const std::string &field)
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind(field, 0) == 0)
+            return std::stol(line.substr(field.size()));
+    }
+    return -1;
+}
+
+} // namespace
+
+TEST(SweepServer, FinishedConnectionThreadsAreReaped)
+{
+    SweepServerConfig cfg;
+    cfg.socketPath = strprintf("/tmp/sweepd_test_reap_%d.sock",
+                               static_cast<int>(getpid()));
+    cfg.service.jobs = 1;
+    SweepServer server(cfg);
+    ASSERT_EQ(server.start(), "");
+    const long threads_before = procStatus("Threads:");
+    const long vm_kb_before = procStatus("VmSize:");
+    ASSERT_GT(threads_before, 0);
+    ASSERT_GT(vm_kb_before, 0);
+
+    // One connection per ping, strictly sequential: a server that never
+    // joins its connection threads grows without bound here.
+    for (int i = 0; i < 2000; ++i) {
+        std::string err;
+        int fd = connectUnixSocket(cfg.socketPath, &err);
+        ASSERT_GE(fd, 0) << err;
+        ASSERT_EQ(writeFrame(fd, MsgType::PingReq, ""), "");
+        MsgType type{};
+        std::string response;
+        bool eof = false;
+        ASSERT_EQ(readFrame(fd, &type, &response, kMaxResponseBytes, &eof),
+                  "");
+        ASSERT_EQ(type, MsgType::PongResp);
+        ::close(fd);
+    }
+    EXPECT_LE(procStatus("Threads:"), threads_before + 4);
+    // A finished but unjoined thread has left the kernel's thread count
+    // yet still maps its stack, so the address space is the real leak
+    // signal: 2000 leaked stacks would add gigabytes.
+    EXPECT_LE(procStatus("VmSize:"), vm_kb_before + 256 * 1024);
+    server.stop();
 }

@@ -2,10 +2,10 @@
  * @file
  * Sweep-as-a-service daemon: a persistent sweep_loopspec. Binds a
  * Unix-domain socket (and optionally a loopback TCP port), keeps a
- * content-addressed cache of control traces and loop-event recordings
- * across requests, and serves SweepGrid requests whose JSON responses
- * are byte-identical to a direct sweep_loopspec run of the same grid
- * (modulo the volatile "wall" timing block).
+ * content-addressed cache of loop-event recordings across requests,
+ * and serves SweepGrid requests whose JSON responses are byte-identical
+ * to a direct sweep_loopspec run of the same grid (modulo the volatile
+ * "wall" timing block).
  *
  *   sweepd --socket /tmp/sweepd.sock --jobs 4
  *   sweepd --socket /tmp/sweepd.sock --cache-mb 512 --trace-dir traces/
