@@ -75,9 +75,19 @@ runAlu(Opcode op, int64_t a, int64_t b)
 
 struct AluCase
 {
+    AluCase(Opcode o, int64_t x, int64_t y, int64_t e)
+        : op(o), a(x), b(y), expect(e)
+    {
+    }
+
     Opcode op;
+    // gtest names each case after the raw bytes of its param, so the
+    // bytes after `op` are an explicit zeroed member: implicit padding
+    // holds whatever the stack did and made the names change per run.
+    uint8_t pad[7] = {};
     int64_t a, b, expect;
 };
+static_assert(sizeof(AluCase) == 32, "AluCase must have no implicit padding");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {

@@ -13,6 +13,8 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <string>
@@ -309,13 +311,25 @@ TEST(TraceFormatStreaming, ZeroChunkBytesIsAnExplicitError)
     EXPECT_EQ(err, "batchInstrs must be >= 1");
 }
 
+/** Fresh per-process subdirectory under the gtest temp dir: ctest runs
+ *  this binary twice at once (per-test and as trace_format_suite_io), and
+ *  both exports would otherwise write the same file. */
+std::string
+freshTraceDir(const std::string &tag)
+{
+    std::string dir = ::testing::TempDir() + "trace_format_" + tag + "_" +
+                      std::to_string(::getpid());
+    ::mkdir(dir.c_str(), 0755);
+    return dir;
+}
+
 TEST(TraceFormatStreaming, TinyChunkBytesIsRaisedToDocumentedMinimum)
 {
     // Nonzero-but-tiny chunks are raised to kMinStreamChunkBytes (a
     // split record must fit one carry) and the replay still works.
     RunOptions opts;
     opts.maxInstrs = 50000;
-    std::string dir = ::testing::TempDir();
+    std::string dir = freshTraceDir("tiny_chunk");
     std::string path = exportWorkloadTrace("compress", opts, dir,
                                            TraceEncoding::Raw);
 
@@ -341,7 +355,7 @@ TEST(TraceFormatStreaming, MassiveTraceReplaysWithinFixedMemoryBudget)
     // one carried record, one batch buffer — never the file size.
     RunOptions opts;
     opts.maxInstrs = 4000000;
-    std::string dir = ::testing::TempDir();
+    std::string dir = freshTraceDir("massive");
     std::string path =
         exportWorkloadTrace("synth.massive", opts, dir, TraceEncoding::Raw);
 

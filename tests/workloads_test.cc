@@ -115,6 +115,14 @@ struct Band
     uint32_t maxNestLo, maxNestHi;
 };
 
+/** Prints a band as its workload name. gtest's default prints the raw
+ *  bytes, whose `name` pointer made the test names change per run. */
+void
+PrintTo(const Band &band, std::ostream *os)
+{
+    *os << band.name;
+}
+
 class WorkloadBands : public ::testing::TestWithParam<Band>
 {
 };
