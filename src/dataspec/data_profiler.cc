@@ -10,16 +10,14 @@ namespace loopspec
 namespace
 {
 
-/** FNV-1a style mixing of one control event into a path hash. */
+/** Path-hash input of one control event; applySpan() mixes the inputs
+ *  into each frame's hash FNV-1a style. */
 uint64_t
-mixPath(uint64_t hash, uint32_t pc, bool taken, uint32_t target)
+pathInput(uint32_t pc, bool taken, uint32_t target)
 {
     uint64_t v = (static_cast<uint64_t>(pc) << 2) |
                  (taken ? 2u : 0u);
-    v ^= static_cast<uint64_t>(target) << 33;
-    hash ^= v;
-    hash *= 0x100000001b3ull;
-    return hash;
+    return v ^ (static_cast<uint64_t>(target) << 33);
 }
 
 double
@@ -55,6 +53,7 @@ DataSpecProfiler::Frame::resetIteration()
     pathHash = 0xcbf29ce484222325ull;
     readFirstMask = 0;
     writtenMask = 0;
+    loadPcs.clear();
     loads.clear();
     written.clear();
     memOverflow = false;
@@ -67,78 +66,160 @@ DataSpecProfiler::DataSpecProfiler(DataSpecConfig config) : cfg(config)
 int
 DataSpecProfiler::findFrame(uint64_t exec_id) const
 {
-    for (size_t i = frames.size(); i-- > 0;) {
+    for (size_t i = liveFrames; i-- > 0;) {
         if (frames[i].execId == exec_id)
             return static_cast<int>(i);
     }
     return -1;
 }
 
-void
-DataSpecProfiler::onInstr(const DynInstr &d)
+namespace
 {
-    if (frames.empty())
-        return;
 
-    for (auto &f : frames) {
-        // Control flow shapes the iteration's path.
-        if (d.kind != CtrlKind::None) {
-            f.pathHash =
-                mixPath(f.pathHash, d.pc, d.taken,
-                        d.taken ? d.target : 0);
-        }
+/** Dynamic fields of an AoS record. */
+struct AosRec
+{
+    const DynInstr &d;
 
-        // Register reads before writes are live-ins; capture the value
-        // at the first read. r0 is architecturally zero and excluded.
-        for (unsigned s = 0; s < d.numSrc; ++s) {
-            uint8_t r = d.srcReg[s];
-            if (r == 0)
-                continue;
-            uint32_t bit = 1u << r;
-            if ((f.writtenMask & bit) || (f.readFirstMask & bit))
-                continue;
-            f.readFirstMask |= bit;
-            f.firstVal[r] = d.srcVal[s];
-        }
-        if (d.hasDst && d.dstReg != 0)
-            f.writtenMask |= 1u << d.dstReg;
+    bool taken() const { return d.taken; }
+    uint32_t target() const { return d.target; }
+    int64_t srcVal(unsigned s) const { return d.srcVal[s]; }
+    uint64_t memAddr() const { return d.memAddr; }
+    int64_t memVal() const { return d.memVal; }
+};
 
-        // Memory: loads from addresses not stored earlier this iteration
-        // are live-in locations, keyed by static load PC.
-        if (d.isLoad) {
-            if (!f.memOverflow && !f.written.count(d.memAddr) &&
-                f.loads.size() < cfg.maxLoadPcs) {
-                f.loads.emplace(d.pc,
-                                std::make_pair(d.memAddr, d.memVal));
+/** Dynamic fields of record @p i of a cold-plane SoA batch. */
+struct PlaneRec
+{
+    const SoaBatch &b;
+    size_t i;
+
+    bool taken() const { return b.taken[i] != 0; }
+    uint32_t target() const { return b.target[i]; }
+    int64_t srcVal(unsigned s) const
+    {
+        return s ? b.srcVal1[i] : b.srcVal0[i];
+    }
+    uint64_t memAddr() const { return b.memAddr[i]; }
+    int64_t memVal() const { return b.memVal[i]; }
+};
+
+} // namespace
+
+template <typename Rec>
+inline void
+DataSpecProfiler::observe(const DynInstr &s, const Rec &rec)
+{
+    // Control flow shapes the iteration's path.
+    if (s.kind != CtrlKind::None) {
+        const bool taken = rec.taken();
+        span.pathInputs.push_back(
+            pathInput(s.pc, taken, taken ? rec.target() : 0));
+    }
+
+    // Register reads before writes are live-ins; capture the value at
+    // the first read. r0 is architecturally zero and excluded.
+    for (unsigned k = 0; k < s.numSrc; ++k) {
+        uint8_t r = s.srcReg[k];
+        if (r == 0)
+            continue;
+        uint32_t bit = 1u << r;
+        if ((span.writtenMask | span.readFirstMask) & bit)
+            continue;
+        span.readFirstMask |= bit;
+        span.firstVal[r] = rec.srcVal(k);
+    }
+    if (s.hasDst && s.dstReg != 0)
+        span.writtenMask |= 1u << s.dstReg;
+
+    if (s.isLoad)
+        span.mem.push_back({rec.memAddr(), rec.memVal(), s.pc, false});
+    else if (s.isStore)
+        span.mem.push_back({rec.memAddr(), 0, s.pc, true});
+}
+
+void
+DataSpecProfiler::applySpan()
+{
+    for (size_t fi = 0; fi < liveFrames; ++fi) {
+        Frame &f = frames[fi];
+        for (uint64_t v : span.pathInputs)
+            f.pathHash = (f.pathHash ^ v) * 0x100000001b3ull;
+
+        // A register the span reads first is a frame live-in unless
+        // the frame already read or wrote it this iteration.
+        const uint32_t fresh =
+            span.readFirstMask & ~(f.writtenMask | f.readFirstMask);
+        if (fresh) {
+            f.readFirstMask |= fresh;
+            for (unsigned r = 1; r < numRegs; ++r) {
+                if (fresh & (1u << r))
+                    f.firstVal[r] = span.firstVal[r];
             }
-        } else if (d.isStore) {
-            if (!f.memOverflow) {
-                f.written.insert(d.memAddr);
+        }
+        f.writtenMask |= span.writtenMask;
+
+        // Memory: loads from addresses not stored earlier this
+        // iteration are live-in locations, keyed by static load PC
+        // (first instance). Replayed in order: the footprint cap can
+        // trip between two ops of one span.
+        for (const MemOp &m : span.mem) {
+            if (f.memOverflow)
+                break;
+            if (m.isStore) {
+                f.written.insert(m.addr);
                 if (f.written.size() > cfg.writtenSetCap)
                     f.memOverflow = true;
+            } else if (f.loadPcs.size() < cfg.maxLoadPcs &&
+                       !f.written.contains(m.addr) &&
+                       f.loadPcs.insert(m.pc)) {
+                f.loads.push_back({m.pc, m.addr, m.val});
             }
         }
     }
 }
 
 void
+DataSpecProfiler::onInstr(const DynInstr &d)
+{
+    onInstrSpan(&d, 1);
+}
+
+void
 DataSpecProfiler::onInstrSpan(const DynInstr *instrs, size_t count)
 {
-    // The frame stack is constant across a span; hoist the no-live-loop
-    // check (most of a trace retires outside any detected execution).
-    if (frames.empty())
+    if (liveFrames == 0)
         return;
+    span.clear();
     for (size_t i = 0; i < count; ++i)
-        onInstr(instrs[i]);
+        observe(instrs[i], AosRec{instrs[i]});
+    applySpan();
+}
+
+void
+DataSpecProfiler::onInstrSpanSoA(const SoaBatch &b, size_t begin,
+                                 size_t count)
+{
+    if (liveFrames == 0)
+        return;
+    // Static fields come from the producer's per-instruction prototype,
+    // dynamic ones from the cold planes: no record is ever built.
+    span.clear();
+    for (size_t i = begin; i < begin + count; ++i)
+        observe(b.templates[b.sidx[i]], PlaneRec{b, i});
+    applySpan();
 }
 
 void
 DataSpecProfiler::onExecStart(const ExecStartEvent &ev)
 {
-    frames.emplace_back();
-    Frame &f = frames.back();
+    if (liveFrames == frames.size())
+        frames.emplace_back();
+    Frame &f = frames[liveFrames++];
     f.execId = ev.execId;
-    f.loop = ev.loop;
+    f.profile = &loops[ev.loop];
+    f.iterOk = nullptr;
+    f.iterLrOk = nullptr;
     f.resetIteration();
 }
 
@@ -151,7 +232,7 @@ DataSpecProfiler::onIterStart(const IterEvent &ev)
 void
 DataSpecProfiler::evaluateIteration(Frame &f, uint32_t iter_index)
 {
-    LoopProfile &lp = loops[f.loop];
+    LoopProfile &lp = *f.profile;
 
     // Path accounting: the modal path is chosen among at most
     // maxPathsPerLoop distinct paths; the long tail lumps into an
@@ -189,10 +270,9 @@ DataSpecProfiler::evaluateIteration(Frame &f, uint32_t iter_index)
     bool all_lm = true;
     bool lm_evaluated = !f.memOverflow;
     if (lm_evaluated) {
-        for (const auto &[load_pc, av] : f.loads) {
-            const auto &[addr, val] = av;
-            LiveInMemPredictor &mp = lp.mems[load_pc];
-            bool correct = mp.predictCorrect(addr, val);
+        for (const LiveInLoad &ld : f.loads) {
+            LiveInMemPredictor &mp = lp.mems[ld.pc];
+            bool correct = mp.predictCorrect(ld.addr, ld.val);
             if (agg) {
                 ++agg->lmTotal;
                 if (correct)
@@ -200,7 +280,7 @@ DataSpecProfiler::evaluateIteration(Frame &f, uint32_t iter_index)
             }
             if (!correct)
                 all_lm = false;
-            mp.observe(addr, val);
+            mp.observe(ld.addr, ld.val);
         }
     }
 
@@ -218,12 +298,16 @@ DataSpecProfiler::evaluateIteration(Frame &f, uint32_t iter_index)
 
     if (cfg.recordPerIteration && iter_index >= 2) {
         size_t idx = iter_index - 2;
-        std::vector<bool> &flags = perIter[f.execId];
+        if (!f.iterOk) {
+            f.iterOk = &perIter[f.execId];
+            f.iterLrOk = &perIterLiveIn[f.execId];
+        }
+        std::vector<bool> &flags = *f.iterOk;
         if (flags.size() <= idx)
             flags.resize(idx + 1, false);
         flags[idx] = all_lr && lm_evaluated && all_lm;
 
-        std::vector<bool> &reg_flags = perIterLiveIn[f.execId];
+        std::vector<bool> &reg_flags = *f.iterLrOk;
         if (reg_flags.size() <= idx)
             reg_flags.resize(idx + 1, false);
         reg_flags[idx] = all_lr;
@@ -247,7 +331,10 @@ DataSpecProfiler::onExecEnd(const ExecEndEvent &ev)
     LOOPSPEC_ASSERT(idx >= 0, "ExecEnd for unknown frame");
     // IterEnd already evaluated the final iteration (overflow drops lose
     // their partial iteration, which the real hardware also never sees).
-    frames.erase(frames.begin() + idx);
+    // The frame's slot rotates to the spare end, keeping its tables.
+    std::rotate(frames.begin() + idx, frames.begin() + idx + 1,
+                frames.begin() + static_cast<long>(liveFrames));
+    --liveFrames;
 }
 
 void
@@ -255,7 +342,7 @@ DataSpecProfiler::onTraceDone(uint64_t total_instrs)
 {
     (void)total_instrs;
     LOOPSPEC_ASSERT(!done, "onTraceDone twice");
-    LOOPSPEC_ASSERT(frames.empty(), "frames must drain at trace end");
+    LOOPSPEC_ASSERT(liveFrames == 0, "frames must drain at trace end");
     done = true;
 
     for (const auto &[loop, lp] : loops) {

@@ -27,12 +27,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "isa/instr.hh"
 #include "loop/loop_event.hh"
 #include "predict/live_in.hh"
+#include "util/epoch_set.hh"
 
 namespace loopspec
 {
@@ -88,6 +88,10 @@ struct DataSpecReport
 /**
  * The profiler. Attach as a LoopListener to a LoopDetector; the report is
  * available after onTraceDone.
+ *
+ * Every delivery form — scalar onInstr, AoS spans, and SoA spans read
+ * straight from the engine's cold planes — runs the same per-record
+ * core (observe()), so the live-in rules exist once.
  */
 class DataSpecProfiler : public LoopListener
 {
@@ -96,6 +100,8 @@ class DataSpecProfiler : public LoopListener
 
     void onInstr(const DynInstr &instr) override;
     void onInstrSpan(const DynInstr *instrs, size_t count) override;
+    void onInstrSpanSoA(const SoaBatch &batch, size_t begin,
+                        size_t count) override;
     void onExecStart(const ExecStartEvent &ev) override;
     void onIterStart(const IterEvent &ev) override;
     void onIterEnd(const IterEvent &ev) override;
@@ -158,20 +164,81 @@ class DataSpecProfiler : public LoopListener
         uint64_t pathOverflowIters = 0;
     };
 
+    /** First load of one static load PC within an iteration. */
+    struct LiveInLoad
+    {
+        uint32_t pc;
+        uint64_t addr;
+        int64_t val;
+    };
+
+    /** One retired load or store, in retire order. */
+    struct MemOp
+    {
+        uint64_t addr;
+        int64_t val; //!< loaded value (loads only)
+        uint32_t pc;
+        bool isStore;
+    };
+
+    /**
+     * What a span of retired instructions (no loop event inside) does
+     * to any frame, computed once however many frames are live: the
+     * registers it reads before writing and their first values, the
+     * registers it writes, its path-hash inputs and its memory ops. A
+     * frame then folds the span in O(transfers + memory ops) instead
+     * of re-walking every instruction: on the suite about three
+     * executions are live at once.
+     */
+    struct SpanEffect
+    {
+        uint32_t readFirstMask = 0;
+        uint32_t writtenMask = 0;
+        std::array<int64_t, numRegs> firstVal{};
+        std::vector<uint64_t> pathInputs;
+        std::vector<MemOp> mem;
+
+        void
+        clear()
+        {
+            readFirstMask = 0;
+            writtenMask = 0;
+            pathInputs.clear();
+            mem.clear();
+        }
+    };
+
+    /**
+     * Per-live-execution iteration state. Frames are reused per stack
+     * slot: their flat tables keep their capacity across executions
+     * and resetIteration() is O(1) however large the last iteration.
+     */
     struct Frame
     {
         uint64_t execId = 0;
-        uint32_t loop = 0;
+        LoopProfile *profile = nullptr;
+        std::vector<bool> *iterOk = nullptr;   //!< perIter[execId]
+        std::vector<bool> *iterLrOk = nullptr; //!< perIterLiveIn[...]
         uint64_t pathHash = 0;
         uint32_t readFirstMask = 0;
         uint32_t writtenMask = 0;
         std::array<int64_t, numRegs> firstVal{};
-        std::unordered_map<uint32_t, std::pair<uint64_t, int64_t>> loads;
-        std::unordered_set<uint64_t> written;
+        EpochSet<uint32_t> loadPcs;    //!< static PCs in `loads`
+        std::vector<LiveInLoad> loads; //!< first instances, in order
+        EpochSet<uint64_t> written;    //!< addresses stored this iteration
         bool memOverflow = false;
 
         void resetIteration();
     };
+
+    /** The per-record core, shared by every delivery form: fold one
+     *  retired instruction into `span`. @p shape supplies the static
+     *  fields (pc, kind, operand shape), @p rec the dynamic ones. */
+    template <typename Rec>
+    void observe(const DynInstr &shape, const Rec &rec);
+
+    /** Fold the finished `span` into every live frame. */
+    void applySpan();
 
     /** Finalize the frame's current iteration: evaluate + update. */
     void evaluateIteration(Frame &frame, uint32_t iter_index);
@@ -179,7 +246,9 @@ class DataSpecProfiler : public LoopListener
     int findFrame(uint64_t exec_id) const;
 
     DataSpecConfig cfg;
-    std::vector<Frame> frames;
+    std::vector<Frame> frames; //!< [0, liveFrames) live, rest spare
+    size_t liveFrames = 0;
+    SpanEffect span;
     std::unordered_map<uint32_t, LoopProfile> loops;
     std::unordered_map<uint64_t, std::vector<bool>> perIter;
     std::unordered_map<uint64_t, std::vector<bool>> perIterLiveIn;

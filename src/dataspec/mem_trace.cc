@@ -23,6 +23,34 @@ MemAccessTrace::stateHash() const
     return h;
 }
 
+void
+MemTraceRecorder::onInstr(const DynInstr &d)
+{
+    if (d.isLoad || d.isStore)
+        trace.accesses.push_back({d.seq, d.memAddr, d.pc, d.isStore});
+}
+
+void
+MemTraceRecorder::onInstrBatchSoA(const SoaBatch &b)
+{
+    LOOPSPEC_ASSERT(b.hasColdPlanes(),
+                    "memory sidecar needs the SoA cold planes");
+    for (size_t i = 0; i < b.count; ++i) {
+        const DynInstr &t = b.templates[b.sidx[i]];
+        if (t.isLoad || t.isStore) {
+            trace.accesses.push_back(
+                {b.seqBase + i, b.memAddr[i], t.pc, t.isStore});
+        }
+    }
+}
+
+void
+MemTraceRecorder::onTraceEnd(uint64_t total_instrs)
+{
+    trace.totalInstrs = total_instrs;
+    done = true;
+}
+
 MemAccessTrace
 MemTraceRecorder::take()
 {

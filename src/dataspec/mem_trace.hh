@@ -56,48 +56,18 @@ struct MemAccessTrace
 
 /**
  * TraceObserver recording the memory-access sidecar. Attach next to the
- * detector on the functional pass (any engine path — the default
- * FullRecords batchNeed makes the SoA producer materialize exact
- * records), then take() the result after the trace ends.
+ * detector on the functional pass, then take() the result after the
+ * trace ends. On the engine's SoA path it reads the cold planes
+ * directly — the load/store shape and PC from the per-instruction
+ * prototype, the address from the memAddr plane — so its FullRecords
+ * need only makes the engine fill those planes; no AoS record is built.
  */
 class MemTraceRecorder : public TraceObserver
 {
   public:
-    void
-    onInstr(const DynInstr &d) override
-    {
-        if (!(d.isLoad || d.isStore))
-            return;
-        MemAccess a;
-        a.seq = d.seq;
-        a.addr = d.memAddr;
-        a.pc = d.pc;
-        a.isStore = d.isStore;
-        trace.accesses.push_back(a);
-    }
-
-    void
-    onInstrBatch(const DynInstr *instrs, size_t count) override
-    {
-        for (size_t i = 0; i < count; ++i) {
-            const DynInstr &d = instrs[i];
-            if (d.isLoad || d.isStore) {
-                MemAccess a;
-                a.seq = d.seq;
-                a.addr = d.memAddr;
-                a.pc = d.pc;
-                a.isStore = d.isStore;
-                trace.accesses.push_back(a);
-            }
-        }
-    }
-
-    void
-    onTraceEnd(uint64_t total_instrs) override
-    {
-        trace.totalInstrs = total_instrs;
-        done = true;
-    }
+    void onInstr(const DynInstr &d) override;
+    void onInstrBatchSoA(const SoaBatch &batch) override;
+    void onTraceEnd(uint64_t total_instrs) override;
 
     /** Move the finished trace out (valid after onTraceEnd). */
     MemAccessTrace take();

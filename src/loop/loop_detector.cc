@@ -24,6 +24,19 @@ execEndReasonName(ExecEndReason reason)
     }
 }
 
+void
+LoopListener::onInstrSpanSoA(const SoaBatch &batch, size_t begin,
+                             size_t count)
+{
+    // Thread-local like the observer shim's scratch: one reused buffer
+    // per pool thread, sized to the largest span seen.
+    thread_local std::vector<DynInstr> scratch;
+    if (scratch.size() < count)
+        scratch.resize(count);
+    batch.materializeRange(begin, count, scratch.data());
+    onInstrSpan(scratch.data(), count);
+}
+
 LoopDetector::LoopDetector(DetectorConfig config)
     : stack(config.clsEntries), cfg(config)
 {
@@ -35,9 +48,10 @@ LoopDetector::addListener(LoopListener *listener)
     LOOPSPEC_ASSERT(listener != nullptr);
     listeners.push_back(listener);
     if (listener->consumesInstrs()) {
+        const bool reads = listener->readsSpanRecords();
         instrListeners.push_back(listener);
-        if (listener->readsSpanRecords())
-            spanRecordsNeeded = true;
+        instrReadsRecords.push_back(reads);
+        spanRecordsNeeded |= reads;
     }
     if (listener->wantsPrefetchHints())
         prefetchListeners.push_back(listener);
@@ -256,6 +270,24 @@ LoopDetector::flushSpan(const DynInstr *instrs, size_t count)
         l->onInstrSpan(instrs, count);
 }
 
+void
+LoopDetector::flushSpanSoA(const SoaBatch &b, size_t begin, size_t count)
+{
+    if (!count)
+        return;
+    if (!spanRecordsNeeded) {
+        for (auto *l : instrListeners)
+            l->onInstrSpan(nullptr, count);
+        return;
+    }
+    for (size_t k = 0; k < instrListeners.size(); ++k) {
+        if (instrReadsRecords[k])
+            instrListeners[k]->onInstrSpanSoA(b, begin, count);
+        else
+            instrListeners[k]->onInstrSpan(nullptr, count);
+    }
+}
+
 size_t
 LoopDetector::handleCtrlAt(const DynInstr *instrs, size_t i,
                            size_t span_start)
@@ -343,16 +375,16 @@ LoopDetector::batchNeed() const
 void
 LoopDetector::onInstrBatchSoA(const SoaBatch &b)
 {
-    if (cfg.flushInterval || spanRecordsNeeded) {
+    if (cfg.flushInterval) {
         // Materializing shim: rebuilds the AoS records and re-enters
-        // onInstrBatchCtrl, preserving the per-record contract.
+        // onInstrBatchCtrl, whose scalar dispatch checks the flush on
+        // every instruction.
         TraceObserver::onInstrBatchSoA(b);
         return;
     }
 
-    // Hot path: only the control positions are ever touched; spans are
-    // pure counts (every attached span listener declared it never
-    // dereferences records).
+    // Hot path: only the control positions are ever touched. Spans are
+    // counts, plus plane ranges for the listeners that read records.
     size_t span_start = 0;
     for (size_t k = 0; k < b.numCtrl; ++k) {
         const size_t i = b.ctrl[k];
@@ -401,11 +433,11 @@ LoopDetector::onInstrBatchSoA(const SoaBatch &b)
         for (auto *l : prefetchListeners)
             l->prefetchLoop(d.target);
 
-        flushSpan(nullptr, i - span_start + 1);
+        flushSpanSoA(b, span_start, i - span_start + 1);
         dispatch(d);
         span_start = i + 1;
     }
-    flushSpan(nullptr, b.count - span_start);
+    flushSpanSoA(b, span_start, b.count - span_start);
 }
 
 void

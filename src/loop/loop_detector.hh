@@ -74,12 +74,13 @@ class LoopDetector : public TraceObserver
                           size_t num_ctrl) override;
     /** SoA hot path: walks the control index over the hot planes with
      *  the next control record (and the LET/LIT-style listeners' table
-     *  lines) prefetched; spans are forwarded as (nullptr, count). Falls
-     *  back to the materializing shim when some listener reads span
-     *  records or the periodic flush is armed. */
+     *  lines) prefetched. Count-only listeners get spans as (nullptr,
+     *  count); record readers get them as (batch, begin, count) via
+     *  LoopListener::onInstrSpanSoA. Only an armed periodic flush
+     *  falls back to the whole-batch materializing shim. */
     void onInstrBatchSoA(const SoaBatch &batch) override;
-    /** HotPlanes unless a listener reads span records (or flushInterval
-     *  forces scalar dispatch), so engines skip the cold planes. */
+    /** HotPlanes unless a listener reads span records (they need the
+     *  cold planes) or flushInterval forces scalar dispatch. */
     BatchNeed batchNeed() const override;
     void onTraceEnd(uint64_t total_instrs) override;
 
@@ -118,6 +119,10 @@ class LoopDetector : public TraceObserver
     /** Forward a finished span to every listener. */
     void flushSpan(const DynInstr *instrs, size_t count);
 
+    /** Forward span [begin, begin + count) of an SoA batch: as a count
+     *  to count-only listeners, as planes to record readers. */
+    void flushSpanSoA(const SoaBatch &batch, size_t begin, size_t count);
+
     /**
      * Batch helper: process the (control) instruction at @p i. Flushes
      * the pending span [span_start, i] and updates the CLS when the
@@ -135,8 +140,10 @@ class LoopDetector : public TraceObserver
     /** Subset of listeners with wantsPrefetchHints(): warmed right
      *  before a CLS-changing transfer dispatches. */
     std::vector<LoopListener *> prefetchListeners;
+    /** Per instrListeners entry: does it dereference span records? */
+    std::vector<bool> instrReadsRecords;
     /** True when some instruction listener dereferences span records —
-     *  the SoA hot path is then unavailable. */
+     *  the SoA deliveries then carry cold planes. */
     bool spanRecordsNeeded = false;
     uint64_t nextExecId = 1;
     uint64_t sinceFlush = 0;

@@ -143,6 +143,17 @@ class LoopListener
         for (size_t i = 0; i < count; ++i)
             onInstr(instrs[i]);
     }
+
+    /**
+     * The same span delivered from an SoA batch with cold planes:
+     * records [begin, begin + count) of @p batch. Only listeners that
+     * read span records receive it (from the detector's SoA hot walk).
+     * The default materializes just this span and forwards it to
+     * onInstrSpan; a listener that reads the planes directly overrides
+     * it and never builds a DynInstr.
+     */
+    virtual void onInstrSpanSoA(const SoaBatch &batch, size_t begin,
+                                size_t count);
     virtual void onExecStart(const ExecStartEvent &ev) { (void)ev; }
     virtual void onIterStart(const IterEvent &ev) { (void)ev; }
     virtual void onIterEnd(const IterEvent &ev) { (void)ev; }

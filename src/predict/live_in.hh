@@ -26,6 +26,27 @@
 namespace loopspec
 {
 
+namespace live_in_detail
+{
+
+// Strides and predictions wrap modulo 2^64: a live-in may be any
+// 64-bit value, and signed overflow would be undefined behaviour.
+inline int64_t
+wrapAdd(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
+inline int64_t
+wrapSub(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                static_cast<uint64_t>(b));
+}
+
+} // namespace live_in_detail
+
 /** Last-value + stride predictor over one live-in register. */
 class LiveInPredictor
 {
@@ -34,21 +55,25 @@ class LiveInPredictor
     bool
     predictCorrect(int64_t v) const
     {
-        return st == 2 && last + stride == v;
+        return st == 2 && live_in_detail::wrapAdd(last, stride) == v;
     }
 
     /** True once a prediction is offered (two observations seen). */
     bool hasPrediction() const { return st == 2; }
 
     /** The value a spawned iteration would be handed (state 2 only). */
-    int64_t predicted() const { return last + stride; }
+    int64_t
+    predicted() const
+    {
+        return live_in_detail::wrapAdd(last, stride);
+    }
 
     /** Train on the live-in value an iteration actually read. */
     void
     observe(int64_t v)
     {
         if (st >= 1) {
-            stride = v - last;
+            stride = live_in_detail::wrapSub(v, last);
             st = 2;
         } else {
             st = 1;
@@ -100,7 +125,7 @@ class LiveInMemPredictor
     {
         return st == 2 &&
                lastAddr + static_cast<uint64_t>(addrStride) == addr &&
-               lastVal + valStride == val;
+               live_in_detail::wrapAdd(lastVal, valStride) == val;
     }
 
     bool hasPrediction() const { return st == 2; }
@@ -110,7 +135,7 @@ class LiveInMemPredictor
     {
         if (st >= 1) {
             addrStride = static_cast<int64_t>(addr - lastAddr);
-            valStride = val - lastVal;
+            valStride = live_in_detail::wrapSub(val, lastVal);
             st = 2;
         } else {
             st = 1;

@@ -12,13 +12,13 @@ PredictorMeter::PredictorMeter(
 }
 
 void
-PredictorMeter::onBranch(const DynInstr &d)
+PredictorMeter::onBranch(uint32_t pc, bool taken)
 {
     for (Slot &s : preds) {
         ++s.lookups;
-        if (s.pred->predict(d.pc) == d.taken)
+        if (s.pred->predict(pc) == taken)
             ++s.hits;
-        s.pred->update(d.pc, d.taken);
+        s.pred->update(pc, taken);
     }
 }
 
@@ -26,7 +26,7 @@ void
 PredictorMeter::onInstr(const DynInstr &d)
 {
     if (d.kind == CtrlKind::Branch)
-        onBranch(d);
+        onBranch(d.pc, d.taken);
 }
 
 void
@@ -34,7 +34,7 @@ PredictorMeter::onInstrBatch(const DynInstr *instrs, size_t count)
 {
     for (size_t i = 0; i < count; ++i) {
         if (instrs[i].kind == CtrlKind::Branch)
-            onBranch(instrs[i]);
+            onBranch(instrs[i].pc, instrs[i].taken);
     }
 }
 
@@ -48,7 +48,17 @@ PredictorMeter::onInstrBatchCtrl(const DynInstr *instrs, size_t count,
     for (size_t i = 0; i < num_ctrl; ++i) {
         const DynInstr &d = instrs[ctrl[i]];
         if (d.kind == CtrlKind::Branch)
-            onBranch(d);
+            onBranch(d.pc, d.taken);
+    }
+}
+
+void
+PredictorMeter::onInstrBatchSoA(const SoaBatch &b)
+{
+    for (size_t k = 0; k < b.numCtrl; ++k) {
+        const uint32_t i = b.ctrl[k];
+        if (b.kind[i] == static_cast<uint8_t>(CtrlKind::Branch))
+            onBranch(b.pc[i], b.taken[i] != 0);
     }
 }
 

@@ -4,8 +4,9 @@
  * the measurement side of the loop-detection-vs-predictor comparison
  * (docs/PREDICTORS.md). A TraceObserver, so it attaches to a
  * TraceEngine next to the LoopDetector and sees the identical stream;
- * the onInstrBatchCtrl fast path walks only the producer's control
- * index, keeping the batched hot path hot. Control-trace replay feeds
+ * the batch paths walk only the producer's control index, and the SoA
+ * path reads just the hot planes, so a predictor sweep never makes the
+ * engine fill the cold planes. Control-trace replay feeds
  * the same fields (pc, kind, taken), so a replay-derived meter is
  * bit-identical to a live one — runWorkload's --check-replay pins that.
  */
@@ -58,6 +59,9 @@ class PredictorMeter : public TraceObserver
     void onInstrBatchCtrl(const DynInstr *instrs, size_t count,
                           const uint32_t *ctrl,
                           size_t num_ctrl) override;
+    /** Hot-plane consumer: a lookup needs only pc, kind and taken. */
+    void onInstrBatchSoA(const SoaBatch &batch) override;
+    BatchNeed batchNeed() const override { return BatchNeed::HotPlanes; }
 
     /** Results in configuration order (stateHash filled in). */
     std::vector<PredictorMeterResult> results() const;
@@ -65,7 +69,7 @@ class PredictorMeter : public TraceObserver
     size_t numPredictors() const { return preds.size(); }
 
   private:
-    void onBranch(const DynInstr &d);
+    void onBranch(uint32_t pc, bool taken);
 
     struct Slot
     {

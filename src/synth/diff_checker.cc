@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "dataspec/conflict_profiler.hh"
+#include "dataspec/data_profiler.hh"
 #include "dataspec/mem_trace.hh"
 #include "loop/loop_detector.hh"
 #include "loop/loop_stats.hh"
@@ -440,6 +441,86 @@ struct MeterBank
                                  static_cast<unsigned long long>(
                                      c.accesses));
             }
+        }
+        return {};
+    }
+};
+
+/**
+ * §4 profilers with per-iteration flags on: one under the default caps,
+ * one under caps small enough that generated programs trip the
+ * footprint, load-PC and path limits.
+ */
+struct DataSpecBank
+{
+    DataSpecProfiler wide{config(false)};
+    DataSpecProfiler tight{config(true)};
+
+    static DataSpecConfig
+    config(bool tight_caps)
+    {
+        DataSpecConfig c;
+        c.recordPerIteration = true;
+        if (tight_caps) {
+            c.writtenSetCap = 4;
+            c.maxLoadPcs = 2;
+            c.maxPathsPerLoop = 2;
+        }
+        return c;
+    }
+
+    void
+    attach(LoopDetector &det)
+    {
+        det.addListener(&wide);
+        det.addListener(&tight);
+    }
+
+    std::string
+    compare(const char *what, const DataSpecBank &ref) const
+    {
+        std::string err = compareOne(what, "wide", ref.wide, wide);
+        return err.empty() ? compareOne(what, "tight", ref.tight, tight)
+                           : err;
+    }
+
+    static std::string
+    compareOne(const char *what, const char *name,
+               const DataSpecProfiler &ref, const DataSpecProfiler &got)
+    {
+        static const std::pair<const char *, uint64_t DataSpecReport::*>
+            kFields[] = {
+                {"itersEvaluated", &DataSpecReport::itersEvaluated},
+                {"modalIters", &DataSpecReport::modalIters},
+                {"lrTotal", &DataSpecReport::lrTotal},
+                {"lrCorrect", &DataSpecReport::lrCorrect},
+                {"lmTotal", &DataSpecReport::lmTotal},
+                {"lmCorrect", &DataSpecReport::lmCorrect},
+                {"lmIters", &DataSpecReport::lmIters},
+                {"allLrIters", &DataSpecReport::allLrIters},
+                {"allLmIters", &DataSpecReport::allLmIters},
+                {"allDataIters", &DataSpecReport::allDataIters},
+            };
+        for (const auto &[field, member] : kFields) {
+            const uint64_t a = ref.report().*member;
+            const uint64_t b = got.report().*member;
+            if (a != b) {
+                return strprintf("%s: %s profiler %s %llu vs reference "
+                                 "%llu",
+                                 what, name, field,
+                                 static_cast<unsigned long long>(b),
+                                 static_cast<unsigned long long>(a));
+            }
+        }
+        if (got.perIterationOk() != ref.perIterationOk()) {
+            return strprintf("%s: %s profiler per-iteration data flags "
+                             "diverge",
+                             what, name);
+        }
+        if (got.perIterationLiveInOk() != ref.perIterationLiveInOk()) {
+            return strprintf("%s: %s profiler per-iteration live-in "
+                             "flags diverge",
+                             what, name);
         }
         return {};
     }
@@ -1019,12 +1100,14 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         LoopStats stats_a;
         MeterBank meters_a(cfg.meterSizes);
         LoopEventRecorder recorder_a;
+        DataSpecBank dataspec_a;
         {
             LoopDetector det({cls});
             det.addListener(&log_a);
             det.addListener(&stats_a);
             meters_a.attach(det);
             det.addListener(&recorder_a);
+            dataspec_a.attach(det);
             for (const auto &d : scalar.all)
                 det.onInstr(d);
             det.onTraceEnd(scalar.totalInstrs);
@@ -1071,9 +1154,11 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
 
         // (B1) Odd-sized manual batches stress span boundaries.
         EventLog log_b1;
+        DataSpecBank dataspec_b1;
         {
             LoopDetector det({cls});
             det.addListener(&log_b1);
+            dataspec_b1.attach(det);
             const size_t chunk = 999;
             for (size_t i = 0; i < scalar.all.size(); i += chunk) {
                 size_t n = std::min(chunk, scalar.all.size() - i);
@@ -1083,8 +1168,28 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         }
         err = compareLogs((tag + " manual-batched").c_str(), log_a,
                           log_b1);
+        if (err.empty())
+            err = dataspec_b1.compare((tag + " manual-batched").c_str(),
+                                      dataspec_a);
         if (!err.empty())
             return DiffResult::fail(err);
+
+        // (B3) §4 profiler from the cold planes: behind an engine run()
+        // detector the profiler reads SoA span ranges, never AoS
+        // records, and must reproduce the scalar-fed report and both
+        // per-iteration flag maps exactly.
+        {
+            DataSpecBank dataspec_b3;
+            TraceEngine engine(prog, ecfg);
+            LoopDetector det({cls});
+            dataspec_b3.attach(det);
+            engine.addObserver(&det);
+            engine.run();
+            err = dataspec_b3.compare((tag + " engine-batched").c_str(),
+                                      dataspec_a);
+            if (!err.empty())
+                return DiffResult::fail(err);
+        }
 
         // (C) Control-trace replay (the injection point).
         size_t replay_cls =

@@ -32,7 +32,12 @@
  *    produce identical conflict sets, violation-event sequences and
  *    state hashes whether its recording came from the scalar-fed
  *    detector, the SoA-batched engine run, or a control-trace replay,
- *    and whether its sidecar was recorded scalar or batched.
+ *    and whether its sidecar was recorded scalar or batched;
+ *  - the §4 data-speculation profiler must produce the identical report
+ *    and per-iteration flag maps whether its detector was fed scalar
+ *    records, odd-sized AoS batches, or an engine run() whose SoA spans
+ *    it reads straight from the cold planes — under the default caps
+ *    and under caps small enough to trip.
  *
  * `injectClsOffByOne` deliberately runs the replay detector one CLS entry
  * short, and `injectConflictIterOffByOne` shifts the replay-side conflict

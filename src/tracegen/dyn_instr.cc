@@ -6,12 +6,13 @@ namespace loopspec
 {
 
 void
-SoaBatch::materializeAll(DynInstr *out) const
+SoaBatch::materializeRange(size_t begin, size_t n, DynInstr *out) const
 {
     LOOPSPEC_ASSERT(hasColdPlanes(),
                     "materializing a hot-only SoA batch");
-    for (size_t i = 0; i < count; ++i)
-        out[i] = materialize(i);
+    LOOPSPEC_ASSERT(begin + n <= count, "materialize range past batch");
+    for (size_t i = 0; i < n; ++i)
+        out[i] = materialize(begin + i);
 }
 
 void

@@ -123,8 +123,14 @@ struct SoaBatch
         return d;
     }
 
+    /** Materialize records [begin, begin + n) into @p out. */
+    void materializeRange(size_t begin, size_t n, DynInstr *out) const;
+
     /** Materialize the whole batch into @p out (capacity >= count). */
-    void materializeAll(DynInstr *out) const;
+    void materializeAll(DynInstr *out) const
+    {
+        materializeRange(0, count, out);
+    }
 
     /** Per-instruction footprint of the hot planes alone. Pinned so a
      *  plane-type change (a widened kind enum, a bool-ified taken)

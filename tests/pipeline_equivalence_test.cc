@@ -333,6 +333,49 @@ TEST(SoaDelivery, OddBatchSizesMatchScalar)
     }
 }
 
+/** Record-reading LoopListener in the AoS vocabulary: behind an
+ *  SoA-fed detector it gets its spans through the default
+ *  LoopListener::onInstrSpanSoA, which materializes each span. */
+class SpanRecordCollector : public LoopListener
+{
+  public:
+    std::vector<DynInstr> all;
+    void onInstr(const DynInstr &d) override { all.push_back(d); }
+};
+
+TEST(SoaDelivery, RecordReadingSpanListenerSeesTheScalarStream)
+{
+    for (const char *name : kWorkloads) {
+        SCOPED_TRACE(name);
+        Program p = buildWorkload(name, {kScale});
+
+        Collector scalar;
+        TraceEngine se(p);
+        se.addObserver(&scalar);
+        DynInstr d;
+        while (se.step(d)) {
+        }
+
+        for (size_t batch : {37u, 4096u}) {
+            SCOPED_TRACE(batch);
+            EngineConfig cfg;
+            cfg.batchInstrs = batch;
+            SpanRecordCollector spans;
+            TraceEngine e(p, cfg);
+            LoopDetector det({16});
+            det.addListener(&spans);
+            e.addObserver(&det);
+            e.run();
+            ASSERT_EQ(scalar.all.size(), spans.all.size());
+            for (size_t i = 0; i < scalar.all.size(); ++i) {
+                expectSameInstr(scalar.all[i], spans.all[i], i);
+                if (::testing::Test::HasFailure())
+                    break;
+            }
+        }
+    }
+}
+
 TEST(SoaDelivery, MidStreamTruncationMatchesScalar)
 {
     Program p = buildWorkload("li", {kScale});

@@ -9,12 +9,14 @@
 #include <thread>
 
 #include "util/cli.hh"
+#include "util/epoch_set.hh"
 #include "util/thread_pool.hh"
 #include "util/fixed_vector.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "predict/sat_counter.hh"
 #include "util/table_writer.hh"
+#include "tests/test_util.hh"
 
 namespace loopspec
 {
@@ -177,6 +179,29 @@ TEST(FixedVector, TruncateAndClear)
     EXPECT_EQ(v.back(), 1);
     v.clear();
     EXPECT_TRUE(v.empty());
+}
+
+TEST(EpochSet, MatchesStdSetThroughGrowthAndClears)
+{
+    // Rounds of random inserts (past several doublings) against a
+    // std::set reference; clear() between rounds must forget everything.
+    Rng rng(test::testSeed(9000));
+    EpochSet<uint64_t> set;
+    for (int round = 0; round < 6; ++round) {
+        std::set<uint64_t> ref;
+        const int inserts = round % 2 ? 5 : 3000;
+        for (int i = 0; i < inserts; ++i) {
+            uint64_t k = rng.below(4000) * 8; // word-aligned, collides
+            EXPECT_EQ(set.insert(k), ref.insert(k).second);
+        }
+        EXPECT_EQ(set.size(), ref.size());
+        for (uint64_t k = 0; k < 4000 * 8; k += 8)
+            ASSERT_EQ(set.contains(k), ref.count(k) == 1) << k;
+        set.clear();
+        EXPECT_EQ(set.size(), 0u);
+        for (uint64_t k : ref)
+            ASSERT_FALSE(set.contains(k)) << k;
+    }
 }
 
 TEST(TableWriter, AlignsAndRenders)
