@@ -102,36 +102,8 @@ BM_EngineThroughputScalar(benchmark::State &state)
 }
 BENCHMARK(BM_EngineThroughputScalar)->Unit(benchmark::kMillisecond);
 
-/**
- * Forces AoS record delivery onto a hot-plane consumer: default
- * BatchNeed::FullRecords plus the default materializing onInstrBatchSoA
- * shim, forwarding the rebuilt 72-byte records to the wrapped observer.
- * This is the per-batch cost of an observer that never ported to hot
- * planes (bench_throughput's batched_aos / replay_seq rows).
- */
-class AosDeliveryShim : public TraceObserver
-{
-  public:
-    explicit AosDeliveryShim(TraceObserver *o) : inner(o) {}
-
-    void onInstr(const DynInstr &d) override { inner->onInstr(d); }
-    void
-    onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                     const uint32_t *ctrl, size_t num_ctrl) override
-    {
-        inner->onInstrBatchCtrl(instrs, count, ctrl, num_ctrl);
-    }
-    void onTraceEnd(uint64_t total) override { inner->onTraceEnd(total); }
-
-  private:
-    TraceObserver *inner;
-};
-
 /** Engine + detector + stats (the Table-1 pipeline) throughput:
- *  0 = SoA hot-plane batches (default), 1 = scalar (step) delivery,
- *  2 = direct AoS record fill (EngineConfig::soaBatches = false, the
- *  non-GNU-compiler fallback), 3 = AoS records materialized from the
- *  cold planes by the compatibility shim. */
+ *  0 = SoA hot-plane batches (run()), 1 = scalar (step) delivery. */
 void
 BM_DetectorThroughput(benchmark::State &state)
 {
@@ -140,15 +112,11 @@ BM_DetectorThroughput(benchmark::State &state)
     const int mode = static_cast<int>(state.range(0));
     for (auto _ : state) {
         Program p = buildCompress(scale);
-        EngineConfig cfg;
-        cfg.soaBatches = mode != 2;
-        TraceEngine engine(p, cfg);
+        TraceEngine engine(p);
         LoopDetector det({16});
         LoopStats stats;
         det.addListener(&stats);
-        AosDeliveryShim shim(&det);
-        engine.addObserver(
-            mode == 3 ? static_cast<TraceObserver *>(&shim) : &det);
+        engine.addObserver(&det);
         if (mode == 1) {
             DynInstr d;
             while (engine.step(d)) {
@@ -164,8 +132,6 @@ BM_DetectorThroughput(benchmark::State &state)
 BENCHMARK(BM_DetectorThroughput)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 /** Detector re-run over a prerecorded control-event trace (the cost of
@@ -194,10 +160,8 @@ BM_ControlReplayThroughput(benchmark::State &state)
 BENCHMARK(BM_ControlReplayThroughput)->Unit(benchmark::kMillisecond);
 
 /** Four derived CLS configurations over one recorded control trace:
- *  0 = sequential AoS-materializing passes (replay as it ran before
- *  this optimization round), 1 = sequential SoA gap-free synthesis,
- *  2 = interleaved SoA fixed-size chunks (round-robin through
- *  interleaveReplay, one cache pass per chunk). */
+ *  0 = sequential passes, 1 = interleaved fixed-size chunks (round-robin
+ *  through interleaveReplay, one cache pass per chunk). */
 void
 BM_MultiReplayThroughput(benchmark::State &state)
 {
@@ -221,7 +185,7 @@ BM_MultiReplayThroughput(benchmark::State &state)
             stats.push_back(std::make_unique<LoopStats>());
             dets.back()->addListener(stats.back().get());
         }
-        if (mode == 2) {
+        if (mode == 1) {
             std::vector<std::unique_ptr<ControlTraceSource>> sources;
             std::vector<ReplaySource *> ptrs;
             for (auto &det : dets) {
@@ -232,14 +196,9 @@ BM_MultiReplayThroughput(benchmark::State &state)
             interleaveReplay(ptrs);
             for (auto &src : sources)
                 instrs += src->replayed();
-        } else if (mode == 1) {
+        } else {
             for (auto &det : dets)
                 instrs += replayControlTrace(trace, *det);
-        } else {
-            for (auto &det : dets) {
-                AosDeliveryShim shim(det.get());
-                instrs += replayControlTrace(trace, shim);
-            }
         }
     }
     state.counters["instr/s"] = benchmark::Counter(
@@ -248,7 +207,6 @@ BM_MultiReplayThroughput(benchmark::State &state)
 BENCHMARK(BM_MultiReplayThroughput)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 /** Event-driven TU simulator throughput over a prebuilt recording. */

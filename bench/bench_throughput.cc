@@ -3,7 +3,8 @@
  * Trace-pipeline throughput benchmark: retired instructions per second
  * to produce the full experiment artifact set (Table-1 loop statistics,
  * Figure-4 LET/LIT hit ratios at 2/4/8/16 entries, and the speculation
- * event recording) on each of the three execution paths:
+ * event recording) on the scalar and batched execution paths, plus the
+ * derived-configuration replay stage of a sweep:
  *
  *   scalar  - the seed pipeline: step() reference interpreter with
  *             per-instruction observer dispatch, every listener (stats,
@@ -11,35 +12,25 @@
  *             onInstr — the dispatch contract the seed harness had.
  *             Forwarding shims restore that contract, since event-only
  *             listener filtering is one of this PR's optimizations.
- *   batched_aos - AoS record delivery: the engine fills hot + cold
- *             planes and the default TraceObserver shim materializes
- *             72-byte DynInstr batches for a consumer that stayed on
- *             the AoS vocabulary (BatchNeed::FullRecords), which then
- *             walks records exactly as the pre-SoA pipeline did. This
- *             is what an unported observer costs today; only stats and
- *             the recorder ride the trace, the 8 meters are derived
- *             afterwards by replaying the recorded loop-event stream
- *             (replay time is included). bench_micro additionally
- *             carries the EngineConfig::soaBatches=false direct AoS
- *             fill (the non-GNU-compiler fallback), which skips the
- *             materialization pass and lands between this row and the
- *             SoA row.
- *   batched_soa - the current default: the same pipeline with run()
- *             delivering structure-of-arrays batches (hot pc/target/
- *             kind/taken planes only, since every rider reports
+ *   batched_soa - the runWorkload pipeline: run() delivering
+ *             structure-of-arrays batches (hot pc/target/kind/taken
+ *             planes only, since every rider reports
  *             BatchNeed::HotPlanes) through the token-threaded fill
  *             loop and the detector's prefetched control-index walk.
+ *             Only stats and the recorder ride the trace; the 8 meters
+ *             are derived afterwards by replaying the recorded
+ *             loop-event stream (replay time is included).
  *   replay_seq - the derived-configuration stage of a record/replay
- *             sweep as it stood before interleaving: four detectors at
- *             different CLS sizes (stats + ideal-TPC each) re-run one
- *             after another over a prerecorded control-event trace,
- *             each pass materializing AoS record batches through the
- *             compatibility shim (the pre-SoA replay pipeline).
- *   replay_ilv - the same four derived configurations on the new
- *             stack: SoA gap-free synthesis, advanced round-robin in
- *             fixed-size chunks (interleaveReplay) so each stretch of
- *             the recorded trace is pulled through the cache once and
- *             consumed by all four detectors while still resident.
+ *             sweep without interleaving: four detectors at different
+ *             CLS sizes (stats + ideal-TPC each) re-run one after
+ *             another over a prerecorded control-event trace, each a
+ *             full hot-plane replay pass.
+ *   replay_ilv - the same four derived configurations advanced
+ *             round-robin in fixed-size chunks (interleaveReplay), so
+ *             each stretch of the recorded trace is pulled through the
+ *             cache once and consumed by all four detectors while still
+ *             resident. replay_seq / replay_ilv isolates interleaving:
+ *             both rows synthesize the same hot-plane batches.
  *
  * All paths must agree on the derived statistics and hit ratios (the
  * replay pair additionally on every per-config artifact); any
@@ -130,33 +121,6 @@ class SeedDispatchShim : public LoopListener
 
   private:
     LoopListener *inner;
-};
-
-/**
- * Keeps a hot-plane consumer on the AoS vocabulary: reports the default
- * BatchNeed::FullRecords and leaves the default onInstrBatchSoA in
- * place, so the producer fills the cold planes and the compatibility
- * shim materializes 72-byte records before forwarding here. Wrapping
- * the detector in this reproduces exactly what an observer that never
- * ported to hot planes costs on the SoA engine — the pre-SoA record
- * pipeline.
- */
-class AosDeliveryShim : public TraceObserver
-{
-  public:
-    explicit AosDeliveryShim(TraceObserver *o) : inner(o) {}
-
-    void onInstr(const DynInstr &d) override { inner->onInstr(d); }
-    void
-    onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                     const uint32_t *ctrl, size_t num_ctrl) override
-    {
-        inner->onInstrBatchCtrl(instrs, count, ctrl, num_ctrl);
-    }
-    void onTraceEnd(uint64_t total) override { inner->onTraceEnd(total); }
-
-  private:
-    TraceObserver *inner;
 };
 
 /** The LET/LIT meter bank of Figure 4. */
@@ -286,35 +250,26 @@ main(int argc, char **argv)
 
     // Batched fast path, exactly the runWorkload pipeline: predecoded
     // run() with stats + recorder live, meters derived by loop-event
-    // replay (timed). Measured twice — AoS record delivery through the
-    // compatibility shim (the cost of staying on the pre-SoA record
-    // vocabulary) and the default SoA hot-plane batches.
-    const auto batched_path = [&](bool soa) {
-        return best(reps, [&, soa] {
-            PathResult r;
-            TraceEngine engine(prog, ecfg);
-            LoopDetector det({opts.clsEntries});
-            LoopStats stats;
-            LoopEventRecorder recorder;
-            det.addListener(&stats);
-            det.addListener(&recorder);
-            AosDeliveryShim aos_shim(&det);
-            engine.addObserver(
-                soa ? static_cast<TraceObserver *>(&det) : &aos_shim);
-            MeterBank meters;
-            double t0 = now();
-            r.instrs = engine.run();
-            LoopEventRecording rec = recorder.take();
-            replayLoopEvents(rec, meters.listeners());
-            r.seconds = now() - t0;
-            r.stats = stats.report();
-            r.meterHits = meters.totalHits();
-            return r;
-        });
-    };
-    PathResult batched_aos = batched_path(false);
-    checkAgreement("batched_aos", batched_aos, scalar);
-    PathResult batched_soa = batched_path(true);
+    // replay (timed).
+    PathResult batched_soa = best(reps, [&] {
+        PathResult r;
+        TraceEngine engine(prog, ecfg);
+        LoopDetector det({opts.clsEntries});
+        LoopStats stats;
+        LoopEventRecorder recorder;
+        det.addListener(&stats);
+        det.addListener(&recorder);
+        engine.addObserver(&det);
+        MeterBank meters;
+        double t0 = now();
+        r.instrs = engine.run();
+        LoopEventRecording rec = recorder.take();
+        replayLoopEvents(rec, meters.listeners());
+        r.seconds = now() - t0;
+        r.stats = stats.report();
+        r.meterHits = meters.totalHits();
+        return r;
+    });
     checkAgreement("batched_soa", batched_soa, scalar);
 
     // Replay pair: one recording pass (untimed), then the derived-
@@ -375,21 +330,15 @@ main(int argc, char **argv)
         return best_r;
     };
 
-    // Sequential row = the pre-interleaving replay stage verbatim: one
-    // full AoS-materializing pass per derived config (the shim keeps
-    // the synthesizer on record batches, as replay always ran before).
+    // Sequential row: one full replay pass per derived config.
     ReplayResult replay_seq = best_replay([&] {
         ReplayResult r;
         std::vector<std::unique_ptr<DerivedConfig>> configs;
-        std::vector<std::unique_ptr<AosDeliveryShim>> shims;
-        for (size_t cls : derivedCls) {
+        for (size_t cls : derivedCls)
             configs.push_back(std::make_unique<DerivedConfig>(cls));
-            shims.push_back(std::make_unique<AosDeliveryShim>(
-                &configs.back()->det));
-        }
         double t0 = now();
-        for (auto &shim : shims)
-            r.instrs += replayControlTrace(trace, *shim);
+        for (auto &cfg : configs)
+            r.instrs += replayControlTrace(trace, cfg->det);
         r.seconds = now() - t0;
         harvest(r, configs);
         return r;
@@ -429,16 +378,9 @@ main(int argc, char **argv)
         }
     }
 
-    const double speedup_aos =
-        scalar.seconds > 0.0 ? scalar.seconds / batched_aos.seconds
-                             : 0.0;
     const double speedup_soa =
         scalar.seconds > 0.0 ? scalar.seconds / batched_soa.seconds
                              : 0.0;
-    const double speedup_soa_vs_aos =
-        batched_soa.seconds > 0.0
-            ? batched_aos.seconds / batched_soa.seconds
-            : 0.0;
     const double speedup_ilv =
         replay_ilv.seconds > 0.0
             ? replay_seq.seconds / replay_ilv.seconds
@@ -456,8 +398,6 @@ main(int argc, char **argv)
     const Row rows[] = {
         {"scalar", scalar.instrs, scalar.seconds, scalar.instrsPerSec(),
          1.0},
-        {"batched_aos", batched_aos.instrs, batched_aos.seconds,
-         batched_aos.instrsPerSec(), speedup_aos},
         {"batched_soa", batched_soa.instrs, batched_soa.seconds,
          batched_soa.instrsPerSec(), speedup_soa},
         {"replay_seq", replay_seq.instrs, replay_seq.seconds,
@@ -499,9 +439,7 @@ main(int argc, char **argv)
            << (i + 1 < num_rows ? "," : "") << "\n";
     }
     js << "  },\n"
-       << "  \"speedup\": {\"batched_aos_vs_scalar\": " << speedup_aos
-       << ", \"batched_soa_vs_scalar\": " << speedup_soa
-       << ", \"soa_vs_aos\": " << speedup_soa_vs_aos
+       << "  \"speedup\": {\"batched_soa_vs_scalar\": " << speedup_soa
        << ", \"interleaved_vs_sequential\": " << speedup_ilv << "}\n"
        << "}\n";
     std::cout << "wrote " << json_path << "\n";

@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -130,7 +131,8 @@ checkMeterMatch(const char *what, const std::string &name, size_t entries,
 
 /** Fan one replayed batch out to several observers (detector +
  *  predictor meters ride the same streaming pass, as they ride the
- *  same engine pass in process). */
+ *  same engine pass in process). Needs what its neediest target
+ *  needs, so an all-hot-plane set replays hot planes. */
 class FanoutObserver : public TraceObserver
 {
   public:
@@ -144,18 +146,19 @@ class FanoutObserver : public TraceObserver
     }
 
     void
-    onInstrBatch(const DynInstr *instrs, size_t count) override
+    onInstrBatchSoA(const SoaBatch &batch) override
     {
         for (auto *o : targets)
-            o->onInstrBatch(instrs, count);
+            o->onInstrBatchSoA(batch);
     }
 
-    void
-    onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                     const uint32_t *ctrl, size_t num_ctrl) override
+    BatchNeed
+    batchNeed() const override
     {
+        BatchNeed need = BatchNeed::HotPlanes;
         for (auto *o : targets)
-            o->onInstrBatchCtrl(instrs, count, ctrl, num_ctrl);
+            need = std::max(need, o->batchNeed());
+        return need;
     }
 
     void
@@ -176,11 +179,13 @@ class FanoutObserver : public TraceObserver
  * meter replays), so artifacts are bit-identical to a run over the
  * ControlTrace the file was exported from. Under checkReplay the
  * streaming pass is additionally cross-checked against a fully
- * materialized in-memory replay of the same file.
+ * materialized in-memory replay of the same file. A container that
+ * cannot be opened or read (a payload failing its CRC mid-stream)
+ * lands in @p error when the caller passed one, fatal() otherwise.
  */
 WorkloadArtifacts
 runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
-                     const CollectFlags &flags)
+                     const CollectFlags &flags, std::string *error)
 {
     WorkloadArtifacts out;
     out.name = name;
@@ -190,6 +195,12 @@ runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
               "provide",
               name.c_str());
     }
+    const auto failed = [&](const std::string &msg) {
+        if (!error)
+            fatal("%s", msg.c_str());
+        *error = msg;
+        return WorkloadArtifacts{};
+    };
 
     const std::string path =
         traceFilePath(opts.traceDir, name, kControlTraceExt);
@@ -197,7 +208,7 @@ runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
     std::unique_ptr<TraceFileStreamer> streamer =
         TraceFileStreamer::open(path, StreamConfig{}, &err);
     if (!streamer)
-        fatal("%s", err.c_str());
+        return failed(err);
 
     // A recording always rides along under checkReplay: comparing it
     // against the materialized replay covers the whole detector event
@@ -224,7 +235,7 @@ runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
 
     err = streamer->replayControl(fan, opts.maxInstrs);
     if (!err.empty())
-        fatal("%s", err.c_str());
+        return failed(err);
     out.totalInstrs = streamer->totalInstrs();
     if (opts.maxInstrs && opts.maxInstrs < out.totalInstrs)
         out.totalInstrs = opts.maxInstrs;
@@ -234,8 +245,11 @@ runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
         recording = recorder.take();
 
     ControlTrace materialized;
-    if (opts.checkReplay || flags.controlTrace)
-        materialized = readControlTraceFile(path);
+    if (opts.checkReplay || flags.controlTrace) {
+        err = loadControlTraceFile(path, &materialized);
+        if (!err.empty())
+            return failed(err);
+    }
 
     if (opts.checkReplay) {
         LoopDetector direct({opts.clsEntries});
@@ -293,7 +307,7 @@ runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
         prefixDet.addListener(&prefix);
         err = streamer->replayControl(prefixDet, out.totalInstrs / 2);
         if (!err.empty())
-            fatal("%s", err.c_str());
+            return failed(err);
         out.idealTpcPrefix = prefix.tpc();
         if (opts.checkReplay) {
             IdealTpcComputer direct;
@@ -322,7 +336,7 @@ runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
 
 WorkloadArtifacts
 runWorkload(const std::string &name, const RunOptions &opts,
-            const CollectFlags &flags_in)
+            const CollectFlags &flags_in, std::string *error)
 {
     WorkloadArtifacts out;
     out.name = name;
@@ -334,7 +348,7 @@ runWorkload(const std::string &name, const RunOptions &opts,
     }
 
     if (!opts.traceDir.empty())
-        return runWorkloadFromTrace(name, opts, flags);
+        return runWorkloadFromTrace(name, opts, flags, error);
 
     Program prog = buildWorkload(name, opts.scale);
 

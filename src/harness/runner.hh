@@ -117,10 +117,16 @@ struct WorkloadArtifacts
     std::vector<PredictorMeterResult> predictorStats;
 };
 
-/** Build + trace one workload, collecting per @p flags. */
+/**
+ * Build + trace one workload, collecting per @p flags. Under
+ * opts.traceDir a container that cannot be opened or read (a corrupt
+ * payload found mid-stream) is reported through @p error when given —
+ * the returned artifacts are then empty — and is fatal() otherwise.
+ */
 WorkloadArtifacts runWorkload(const std::string &name,
                               const RunOptions &opts,
-                              const CollectFlags &flags);
+                              const CollectFlags &flags,
+                              std::string *error = nullptr);
 
 /**
  * Run several workloads concurrently on a std::thread pool

@@ -262,15 +262,6 @@ LoopDetector::onInstr(const DynInstr &d)
 }
 
 void
-LoopDetector::flushSpan(const DynInstr *instrs, size_t count)
-{
-    if (!count)
-        return;
-    for (auto *l : instrListeners)
-        l->onInstrSpan(instrs, count);
-}
-
-void
 LoopDetector::flushSpanSoA(const SoaBatch &b, size_t begin, size_t count)
 {
     if (!count)
@@ -286,78 +277,6 @@ LoopDetector::flushSpanSoA(const SoaBatch &b, size_t begin, size_t count)
         else
             instrListeners[k]->onInstrSpan(nullptr, count);
     }
-}
-
-size_t
-LoopDetector::handleCtrlAt(const DynInstr *instrs, size_t i,
-                           size_t span_start)
-{
-    const DynInstr &d = instrs[i];
-    bool work;
-    switch (d.kind) {
-      case CtrlKind::None:
-      case CtrlKind::Call:
-        // Calls never terminate loop executions (§2.1).
-        return span_start;
-      case CtrlKind::Branch:
-        work = d.taken || d.target <= d.pc;
-        break;
-      case CtrlKind::Jump:
-      case CtrlKind::Ret:
-        work = true;
-        break;
-      default:
-        panic("bad CtrlKind");
-    }
-    if (!work)
-        return span_start;
-    // Listeners must see d before any event it triggers: flush the span
-    // up to and including d, then update the CLS.
-    flushSpan(instrs + span_start, i - span_start + 1);
-    dispatch(d);
-    return i + 1;
-}
-
-void
-LoopDetector::onInstrBatch(const DynInstr *instrs, size_t count)
-{
-    if (cfg.flushInterval) {
-        // The periodic flush can fire on any instruction, so every one is
-        // a potential event boundary; take the scalar path (the safety
-        // valve is off in every measured configuration).
-        for (size_t i = 0; i < count; ++i)
-            onInstr(instrs[i]);
-        return;
-    }
-
-    // Split the batch into spans of event-free instructions. Only taken
-    // branches/jumps, not-taken backward branches and returns can change
-    // the CLS; everything else extends the current span.
-    size_t span_start = 0;
-    for (size_t i = 0; i < count; ++i) {
-        if (instrs[i].kind == CtrlKind::None)
-            continue;
-        span_start = handleCtrlAt(instrs, i, span_start);
-    }
-    flushSpan(instrs + span_start, count - span_start);
-}
-
-void
-LoopDetector::onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                               const uint32_t *ctrl, size_t num_ctrl)
-{
-    if (cfg.flushInterval) {
-        for (size_t i = 0; i < count; ++i)
-            onInstr(instrs[i]);
-        return;
-    }
-
-    // The producer indexed the control transfers: hop between them
-    // directly instead of scanning every record.
-    size_t span_start = 0;
-    for (size_t k = 0; k < num_ctrl; ++k)
-        span_start = handleCtrlAt(instrs, ctrl[k], span_start);
-    flushSpan(instrs + span_start, count - span_start);
 }
 
 BatchNeed
@@ -376,9 +295,10 @@ void
 LoopDetector::onInstrBatchSoA(const SoaBatch &b)
 {
     if (cfg.flushInterval) {
-        // Materializing shim: rebuilds the AoS records and re-enters
-        // onInstrBatchCtrl, whose scalar dispatch checks the flush on
-        // every instruction.
+        // The periodic flush can fire on any instruction, so every one
+        // is a potential event boundary: the materializing shim feeds
+        // onInstr, whose scalar dispatch checks the flush each time
+        // (the safety valve is off in every measured configuration).
         TraceObserver::onInstrBatchSoA(b);
         return;
     }

@@ -64,20 +64,17 @@ class LoopDetector : public TraceObserver
     void addListener(LoopListener *listener);
 
     // TraceObserver interface. The batch path forwards instructions to
-    // listeners as spans (LoopListener::onInstrSpan) that never straddle
-    // a loop event, so listeners observe the exact per-instruction order
-    // of the scalar path at a fraction of the virtual-dispatch cost.
+    // listeners as spans (LoopListener::onInstrSpan/onInstrSpanSoA) that
+    // never straddle a loop event, so listeners observe the exact
+    // per-instruction order of the scalar path at a fraction of the
+    // virtual-dispatch cost.
     void onInstr(const DynInstr &instr) override;
-    void onInstrBatch(const DynInstr *instrs, size_t count) override;
-    void onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                          const uint32_t *ctrl,
-                          size_t num_ctrl) override;
-    /** SoA hot path: walks the control index over the hot planes with
+    /** Batch path: walks the control index over the hot planes with
      *  the next control record (and the LET/LIT-style listeners' table
      *  lines) prefetched. Count-only listeners get spans as (nullptr,
      *  count); record readers get them as (batch, begin, count) via
      *  LoopListener::onInstrSpanSoA. Only an armed periodic flush
-     *  falls back to the whole-batch materializing shim. */
+     *  falls back to the materializing shim (onInstr per record). */
     void onInstrBatchSoA(const SoaBatch &batch) override;
     /** HotPlanes unless a listener reads span records (they need the
      *  cold planes) or flushInterval forces scalar dispatch. */
@@ -110,26 +107,16 @@ class LoopDetector : public TraceObserver
     void handleReturn(const DynInstr &d);
 
     /** CLS update for one instruction (shared by both observer paths);
-     *  the caller has already forwarded @p d to the listeners. */
+     *  the caller has already forwarded @p d to the listeners. Reads
+     *  only the hot fields (seq, pc, target, kind, taken). */
     void dispatch(const DynInstr &d);
 
     /** Flush the periodic-CLS-flush safety valve at position @p pos. */
     void maybePeriodicFlush(uint64_t pos);
 
-    /** Forward a finished span to every listener. */
-    void flushSpan(const DynInstr *instrs, size_t count);
-
     /** Forward span [begin, begin + count) of an SoA batch: as a count
      *  to count-only listeners, as planes to record readers. */
     void flushSpanSoA(const SoaBatch &batch, size_t begin, size_t count);
-
-    /**
-     * Batch helper: process the (control) instruction at @p i. Flushes
-     * the pending span [span_start, i] and updates the CLS when the
-     * instruction can change it; returns the new span start.
-     */
-    size_t handleCtrlAt(const DynInstr *instrs, size_t i,
-                        size_t span_start);
 
     CurrentLoopStack stack;
     DetectorConfig cfg;

@@ -30,29 +30,6 @@ PredictorMeter::onInstr(const DynInstr &d)
 }
 
 void
-PredictorMeter::onInstrBatch(const DynInstr *instrs, size_t count)
-{
-    for (size_t i = 0; i < count; ++i) {
-        if (instrs[i].kind == CtrlKind::Branch)
-            onBranch(instrs[i].pc, instrs[i].taken);
-    }
-}
-
-void
-PredictorMeter::onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                                 const uint32_t *ctrl, size_t num_ctrl)
-{
-    (void)count;
-    // The producer already knows where the transfers are; visit only
-    // those slots and filter for conditional branches.
-    for (size_t i = 0; i < num_ctrl; ++i) {
-        const DynInstr &d = instrs[ctrl[i]];
-        if (d.kind == CtrlKind::Branch)
-            onBranch(d.pc, d.taken);
-    }
-}
-
-void
 PredictorMeter::onInstrBatchSoA(const SoaBatch &b)
 {
     for (size_t k = 0; k < b.numCtrl; ++k) {

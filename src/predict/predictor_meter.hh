@@ -4,9 +4,9 @@
  * the measurement side of the loop-detection-vs-predictor comparison
  * (docs/PREDICTORS.md). A TraceObserver, so it attaches to a
  * TraceEngine next to the LoopDetector and sees the identical stream;
- * the batch paths walk only the producer's control index, and the SoA
- * path reads just the hot planes, so a predictor sweep never makes the
- * engine fill the cold planes. Control-trace replay feeds
+ * the batch path walks only the producer's control index over the hot
+ * planes, so a predictor sweep never makes the engine fill the cold
+ * planes. Control-trace replay feeds
  * the same fields (pc, kind, taken), so a replay-derived meter is
  * bit-identical to a live one — runWorkload's --check-replay pins that.
  */
@@ -55,10 +55,6 @@ class PredictorMeter : public TraceObserver
 
     // TraceObserver interface.
     void onInstr(const DynInstr &instr) override;
-    void onInstrBatch(const DynInstr *instrs, size_t count) override;
-    void onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                          const uint32_t *ctrl,
-                          size_t num_ctrl) override;
     /** Hot-plane consumer: a lookup needs only pc, kind and taken. */
     void onInstrBatchSoA(const SoaBatch &batch) override;
     BatchNeed batchNeed() const override { return BatchNeed::HotPlanes; }

@@ -540,9 +540,9 @@ materializeOneWorkload(const SweepGrid &grid, const std::string &name,
     for (size_t c = 1; c < num_c; ++c)
         derive = derive || missing[c] || grid.ideal;
 
-    // Under --trace-dir the container is the control trace; opening it
-    // up front turns a missing or malformed file into an error string
-    // instead of a fatal() inside the pass.
+    // Under --trace-dir the container is the control trace; a missing
+    // or malformed file, or a payload that fails mid-stream, comes back
+    // as an error string instead of a fatal() inside the pass.
     std::unique_ptr<TraceFileStreamer> streamer;
     if (from_traces) {
         std::string err;
@@ -567,7 +567,10 @@ materializeOneWorkload(const SweepGrid &grid, const std::string &name,
     flags.dataSpec = grid.dataSpec && !dsrep;
     flags.memTrace = conflicts && any_missing && !mt;
     flags.controlTrace = derive && !from_traces;
-    WorkloadArtifacts art = runWorkload(name, opts, flags);
+    std::string pass_err;
+    WorkloadArtifacts art = runWorkload(name, opts, flags, &pass_err);
+    if (!pass_err.empty())
+        return pass_err;
 
     if (flags.memTrace) {
         auto built = std::make_shared<CachedMemTrace>();

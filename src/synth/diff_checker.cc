@@ -111,7 +111,8 @@ EventLog::onTraceDone(uint64_t total_instrs)
 namespace
 {
 
-/** Collects the full DynInstr stream from either delivery path. */
+/** Collects the full DynInstr stream from either delivery path (the
+ *  batch path through the default materializing shim). */
 class StreamCollector : public TraceObserver
 {
   public:
@@ -119,12 +120,6 @@ class StreamCollector : public TraceObserver
     uint64_t totalInstrs = 0;
 
     void onInstr(const DynInstr &d) override { all.push_back(d); }
-
-    void
-    onInstrBatch(const DynInstr *instrs, size_t count) override
-    {
-        all.insert(all.end(), instrs, instrs + count);
-    }
 
     void
     onTraceEnd(uint64_t total) override
@@ -911,14 +906,16 @@ checkDiskRoundTrip(const ControlTrace &ctrace,
 /**
  * Predictor-state invariant: the branch-predictor baselines are pure
  * functions of the retired conditional-branch stream, so a scalar-fed
- * meter, an odd-batch-fed meter and a control-trace-replay-fed meter
- * must agree on every lookup/hit count AND end in bit-identical table
- * state (stateHash covers every counter and history register).
+ * meter, a meter behind an odd-batch engine run() and a control-trace-
+ * replay-fed meter must agree on every lookup/hit count AND end in
+ * bit-identical table state (stateHash covers every counter and history
+ * register).
  */
 std::string
 checkPredictorState(const std::vector<std::string> &specs,
                     const std::vector<DynInstr> &stream,
-                    uint64_t total_instrs, const ControlTrace &ctrace)
+                    const Program &prog, const EngineConfig &ecfg,
+                    const ControlTrace &ctrace)
 {
     if (specs.empty())
         return {};
@@ -931,15 +928,16 @@ checkPredictorState(const std::vector<std::string> &specs,
         scalar_fed.onInstr(d);
 
     PredictorMeter batch_fed(configs);
-    const size_t chunk = 777; // deliberately odd span boundaries
-    for (size_t i = 0; i < stream.size(); i += chunk) {
-        size_t n = std::min(chunk, stream.size() - i);
-        batch_fed.onInstrBatch(stream.data() + i, n);
+    {
+        EngineConfig odd = ecfg;
+        odd.batchInstrs = 777; // deliberately odd batch boundaries
+        TraceEngine engine(prog, odd);
+        engine.addObserver(&batch_fed);
+        engine.run();
     }
 
     PredictorMeter replay_fed(configs);
     replayControlTrace(ctrace, replay_fed);
-    (void)total_instrs;
 
     const auto ref = scalar_fed.results();
     for (const auto &[what, meter] :
@@ -1012,12 +1010,10 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
     }
     ControlTrace ctrace = ctrace_rec.take();
 
-    // --- 1a. SoA deliveries vs the reference stream ------------------
-    // Hot planes (the default fast path) must agree field-for-field
-    // with the scalar records, and the direct AoS fill (soaBatches =
-    // false, the non-GNU fallback) must stay bit-identical too. The
-    // stage-1 batched collector above already covered the third
-    // delivery form: cold planes materialized by the default shim.
+    // --- 1a. Hot-plane delivery vs the reference stream -------------
+    // Hot planes alone must agree field-for-field with the scalar
+    // records. The stage-1 batched collector above already covered the
+    // other delivery form: cold planes materialized by the default shim.
     {
         HotStreamCollector hot;
         {
@@ -1042,33 +1038,13 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
                     i));
             }
         }
-
-        StreamCollector direct;
-        {
-            EngineConfig acfg = ecfg;
-            acfg.soaBatches = false;
-            TraceEngine engine(prog, acfg);
-            engine.addObserver(&direct);
-            engine.run();
-        }
-        if (direct.all.size() != scalar.all.size()) {
-            return DiffResult::fail(strprintf(
-                "soa: direct AoS fill retires %zu instrs, scalar %zu",
-                direct.all.size(), scalar.all.size()));
-        }
-        for (size_t i = 0; i < scalar.all.size(); ++i) {
-            std::string err =
-                compareInstr(scalar.all[i], direct.all[i], i);
-            if (!err.empty())
-                return DiffResult::fail("soa direct-aos: " + err);
-        }
     }
 
     // --- 1b. Predictor-state invariant (CLS-independent) -------------
     {
         std::string err =
-            checkPredictorState(cfg.predictorSpecs, scalar.all,
-                                scalar.totalInstrs, ctrace);
+            checkPredictorState(cfg.predictorSpecs, scalar.all, prog,
+                                ecfg, ctrace);
         if (!err.empty())
             return DiffResult::fail(err);
     }
@@ -1135,49 +1111,31 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         if (!err.empty())
             return DiffResult::fail(err);
 
-        // (B2) Direct AoS batches (soaBatches = false): the detector's
-        // record walk must emit the identical events as its hot-plane
-        // walk in (B).
-        EventLog log_b2;
-        {
-            EngineConfig acfg = ecfg;
-            acfg.soaBatches = false;
-            TraceEngine engine(prog, acfg);
-            LoopDetector det({cls});
-            det.addListener(&log_b2);
-            engine.addObserver(&det);
-            engine.run();
-        }
-        err = compareLogs((tag + " aos-batched").c_str(), log_a, log_b2);
-        if (!err.empty())
-            return DiffResult::fail(err);
-
-        // (B1) Odd-sized manual batches stress span boundaries.
+        // (B1) Odd-sized engine batches stress span boundaries, with
+        // the profiler reading record spans from the cold planes.
         EventLog log_b1;
         DataSpecBank dataspec_b1;
         {
+            EngineConfig odd = ecfg;
+            odd.batchInstrs = 999;
+            TraceEngine engine(prog, odd);
             LoopDetector det({cls});
             det.addListener(&log_b1);
             dataspec_b1.attach(det);
-            const size_t chunk = 999;
-            for (size_t i = 0; i < scalar.all.size(); i += chunk) {
-                size_t n = std::min(chunk, scalar.all.size() - i);
-                det.onInstrBatch(scalar.all.data() + i, n);
-            }
-            det.onTraceEnd(scalar.totalInstrs);
+            engine.addObserver(&det);
+            engine.run();
         }
-        err = compareLogs((tag + " manual-batched").c_str(), log_a,
-                          log_b1);
+        err = compareLogs((tag + " odd-batched").c_str(), log_a, log_b1);
         if (err.empty())
-            err = dataspec_b1.compare((tag + " manual-batched").c_str(),
+            err = dataspec_b1.compare((tag + " odd-batched").c_str(),
                                       dataspec_a);
         if (!err.empty())
             return DiffResult::fail(err);
 
-        // (B3) §4 profiler from the cold planes: behind an engine run()
-        // detector the profiler reads SoA span ranges, never AoS
-        // records, and must reproduce the scalar-fed report and both
-        // per-iteration flag maps exactly.
+        // (B3) §4 profiler alone at the default batch size: behind an
+        // engine run() detector it reads SoA span ranges straight from
+        // the cold planes and must reproduce the scalar-fed report and
+        // both per-iteration flag maps exactly.
         {
             DataSpecBank dataspec_b3;
             TraceEngine engine(prog, ecfg);

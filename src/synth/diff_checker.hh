@@ -9,13 +9,12 @@
  * through all of them, at several CLS sizes, and reports the first
  * divergence:
  *
- *  - DynInstr streams of step() and run() must be bit-identical, on
- *    every delivery layout: SoA hot planes, shim-materialized records,
- *    and the direct AoS fill (EngineConfig::soaBatches = false);
+ *  - DynInstr streams of step() and run() must be bit-identical, both
+ *    as SoA hot planes and as shim-materialized records;
  *  - the LoopDetector must emit the identical event sequence whether fed
- *    per-instruction, in batches (hot-plane or record form), by the
- *    engine, by control-trace replay, or by chunk-interleaved replay
- *    sources (trace_io/replay_source.hh);
+ *    per-instruction, by engine run() batches (default and odd-sized,
+ *    hot planes or hot + cold planes), by control-trace replay, or by
+ *    chunk-interleaved replay sources (trace_io/replay_source.hh);
  *  - replaying a LoopEventRecording must reproduce the events, the
  *    Fig-4 meter artifacts, and a re-recorded recording exactly;
  *  - Table-1 statistics must agree across every path;
@@ -25,7 +24,7 @@
  *    models (LRU victim validity);
  *  - the branch-predictor baselines (src/predict/) must end in the
  *    identical table state — stateHash plus lookup/hit counts — whether
- *    fed scalar onInstr calls, odd-sized manual batches, or a
+ *    fed scalar onInstr calls, an odd-batch engine run(), or a
  *    control-trace replay's synthesized batches (predictor-state
  *    invariant, docs/PREDICTORS.md);
  *  - the memory-dependence conflict profiler (docs/DATASPEC.md) must
@@ -35,9 +34,9 @@
  *    and whether its sidecar was recorded scalar or batched;
  *  - the §4 data-speculation profiler must produce the identical report
  *    and per-iteration flag maps whether its detector was fed scalar
- *    records, odd-sized AoS batches, or an engine run() whose SoA spans
- *    it reads straight from the cold planes — under the default caps
- *    and under caps small enough to trip.
+ *    records or an engine run() (odd-sized and default batches) whose
+ *    SoA spans it reads straight from the cold planes — under the
+ *    default caps and under caps small enough to trip.
  *
  * `injectClsOffByOne` deliberately runs the replay detector one CLS entry
  * short, and `injectConflictIterOffByOne` shifts the replay-side conflict

@@ -284,7 +284,9 @@ struct TraceFileStreamer::ControlPump::Impl
               s.metaTotalInstrs),
           synth(observer, s.metaTotalInstrs, max_instrs,
                 s.config.batchInstrs),
-          batchBytes(s.config.batchInstrs * sizeof(DynInstr))
+          // One replay batch: hot planes plus its control index.
+          batchBytes(s.config.batchInstrs *
+                     (SoaBatch::kHotBytesPerInstr + sizeof(uint32_t)))
     {
     }
 

@@ -76,31 +76,6 @@ ControlTraceRecorder::onInstr(const DynInstr &d)
 }
 
 void
-ControlTraceRecorder::onInstrBatch(const DynInstr *instrs, size_t count)
-{
-    for (size_t i = 0; i < count; ++i) {
-        const DynInstr &d = instrs[i];
-        if (d.kind == CtrlKind::None)
-            continue;
-        trace.transfers.push_back(
-            {d.seq, d.pc, d.target, d.kind, d.taken});
-    }
-}
-
-void
-ControlTraceRecorder::onInstrBatchCtrl(const DynInstr *instrs,
-                                       size_t count, const uint32_t *ctrl,
-                                       size_t num_ctrl)
-{
-    (void)count;
-    for (size_t k = 0; k < num_ctrl; ++k) {
-        const DynInstr &d = instrs[ctrl[k]];
-        trace.transfers.push_back(
-            {d.seq, d.pc, d.target, d.kind, d.taken});
-    }
-}
-
-void
 ControlTraceRecorder::onInstrBatchSoA(const SoaBatch &b)
 {
     for (size_t k = 0; k < b.numCtrl; ++k) {
@@ -135,56 +110,39 @@ ControlReplaySynthesizer::ControlReplaySynthesizer(
     : observer(observer), cap(batch_instrs), end(total_instrs)
 {
     LOOPSPEC_ASSERT(batch_instrs >= 1, "batch_instrs must be >= 1");
+    LOOPSPEC_ASSERT(observer.batchNeed() == BatchNeed::HotPlanes,
+                    "control-trace replay into an observer that needs "
+                    "full records: a control trace carries no operand "
+                    "values");
     if (max_instrs && max_instrs < end)
         end = max_instrs;
-    soa = observer.batchNeed() == BatchNeed::HotPlanes;
-    if (soa) {
-        // Zero-filled planes are exactly the gap defaults; per batch
-        // only the control positions are patched, and restored after
-        // delivery.
-        pcP.resize(cap);
-        targetP.resize(cap);
-        kindP.resize(cap);
-        takenP.resize(cap);
-    } else {
-        // The buffer starts as all-default gap records; per batch only
-        // seq and the control positions are patched, and the control
-        // positions are restored to gap defaults after delivery.
-        buf.resize(cap);
-    }
+    // Zero-filled planes are exactly the gap defaults; per batch only
+    // the control positions are patched, and restored after delivery.
+    pcP.resize(cap);
+    targetP.resize(cap);
+    kindP.resize(cap);
+    takenP.resize(cap);
     ctrl.reserve(cap);
 }
 
 void
 ControlReplaySynthesizer::flush()
 {
-    if (soa) {
-        SoaBatch b;
-        b.pc = pcP.data();
-        b.target = targetP.data();
-        b.kind = kindP.data();
-        b.taken = takenP.data();
-        b.seqBase = batchSeqBase;
-        b.count = fill;
-        b.ctrl = ctrl.data();
-        b.numCtrl = ctrl.size();
-        observer.onInstrBatchSoA(b);
-        for (uint32_t i : ctrl) {
-            pcP[i] = 0;
-            targetP[i] = 0;
-            kindP[i] = 0;
-            takenP[i] = 0;
-        }
-    } else {
-        observer.onInstrBatchCtrl(buf.data(), fill, ctrl.data(),
-                                  ctrl.size());
-        for (uint32_t i : ctrl) {
-            DynInstr &d = buf[i];
-            d.pc = 0;
-            d.target = 0;
-            d.kind = CtrlKind::None;
-            d.taken = false;
-        }
+    SoaBatch b;
+    b.pc = pcP.data();
+    b.target = targetP.data();
+    b.kind = kindP.data();
+    b.taken = takenP.data();
+    b.seqBase = batchSeqBase;
+    b.count = fill;
+    b.ctrl = ctrl.data();
+    b.numCtrl = ctrl.size();
+    observer.onInstrBatchSoA(b);
+    for (uint32_t i : ctrl) {
+        pcP[i] = 0;
+        targetP[i] = 0;
+        kindP[i] = 0;
+        takenP[i] = 0;
     }
     ctrl.clear();
     batchSeqBase += fill;
@@ -194,25 +152,15 @@ ControlReplaySynthesizer::flush()
 void
 ControlReplaySynthesizer::synthGap(uint64_t upto)
 {
-    if (soa) {
-        // Gap records are all-zero plane entries with implicit seq:
-        // advancing the fill position *is* synthesizing them.
-        while (seq < upto) {
-            uint64_t room = static_cast<uint64_t>(cap - fill);
-            uint64_t take = upto - seq < room ? upto - seq : room;
-            fill += static_cast<size_t>(take);
-            seq += take;
-            if (fill == cap)
-                flush();
-        }
-    } else {
-        while (seq < upto) {
-            buf[fill].seq = seq;
-            ++fill;
-            ++seq;
-            if (fill == cap)
-                flush();
-        }
+    // Gap records are all-zero plane entries with implicit seq:
+    // advancing the fill position *is* synthesizing them.
+    while (seq < upto) {
+        uint64_t room = static_cast<uint64_t>(cap - fill);
+        uint64_t take = upto - seq < room ? upto - seq : room;
+        fill += static_cast<size_t>(take);
+        seq += take;
+        if (fill == cap)
+            flush();
     }
 }
 
@@ -231,19 +179,10 @@ ControlReplaySynthesizer::feed(const CtrlTransfer &t)
         return false;
     }
     synthGap(t.seq); // synthesize the gap before this transfer
-    if (soa) {
-        pcP[fill] = t.pc;
-        targetP[fill] = t.target;
-        kindP[fill] = static_cast<uint8_t>(t.kind);
-        takenP[fill] = t.taken ? 1 : 0;
-    } else {
-        DynInstr &d = buf[fill];
-        d.seq = seq;
-        d.pc = t.pc;
-        d.target = t.target;
-        d.kind = t.kind;
-        d.taken = t.taken;
-    }
+    pcP[fill] = t.pc;
+    targetP[fill] = t.target;
+    kindP[fill] = static_cast<uint8_t>(t.kind);
+    takenP[fill] = t.taken ? 1 : 0;
     ctrl.push_back(static_cast<uint32_t>(fill));
     ++fill;
     ++seq;

@@ -12,8 +12,9 @@
  * same length, positions and control behaviour as the original run;
  * listeners that only count instructions or consume loop events (LoopStats,
  * IdealTpcComputer, the LET/LIT meters) produce bit-identical artifacts.
- * Listeners that read operand values (DataSpecProfiler) must stay on the
- * functional pass.
+ * Replay delivers hot planes only, so its observer must declare
+ * BatchNeed::HotPlanes; listeners that read operand values
+ * (DataSpecProfiler) must stay on the functional pass.
  */
 
 #ifndef LOOPSPEC_TRACEGEN_CONTROL_TRACE_HH
@@ -68,10 +69,6 @@ class ControlTraceRecorder : public TraceObserver
 {
   public:
     void onInstr(const DynInstr &instr) override;
-    void onInstrBatch(const DynInstr *instrs, size_t count) override;
-    void onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                          const uint32_t *ctrl,
-                          size_t num_ctrl) override;
     /** Hot-plane consumer: a transfer is exactly the four hot fields
      *  plus seq, so the recorder never needs full records. */
     void onInstrBatchSoA(const SoaBatch &batch) override;
@@ -90,7 +87,7 @@ class ControlTraceRecorder : public TraceObserver
  * Incremental core of control-trace replay: feed() recorded transfers one
  * at a time and the synthesizer reconstructs the full retired stream —
  * gap instructions (CtrlKind::None, correct seq) between them — and
- * delivers it to the observer in onInstrBatchCtrl batches. This is what
+ * delivers it to the observer as hot-plane SoaBatch views. This is what
  * lets the on-disk streaming reader drive a replay without ever holding
  * the transfer vector in memory; replayControlTrace() is now a thin loop
  * over it, so both paths are bit-identical by construction (same batch
@@ -100,7 +97,9 @@ class ControlReplaySynthesizer
 {
   public:
     /** Replays the first min(total_instrs, max_instrs) instructions
-     *  (max_instrs 0 = no truncation) in @p batch_instrs batches. */
+     *  (max_instrs 0 = no truncation) in @p batch_instrs batches.
+     *  @p observer must declare BatchNeed::HotPlanes: a control trace
+     *  carries no operand values to fill cold planes from. */
     ControlReplaySynthesizer(TraceObserver &observer,
                              uint64_t total_instrs,
                              uint64_t max_instrs = 0,
@@ -131,20 +130,16 @@ class ControlReplaySynthesizer
     void synthGap(uint64_t upto);
 
     TraceObserver &observer;
-    std::vector<DynInstr> buf;
     std::vector<uint32_t> ctrl;
     /**
-     * Hot-plane delivery (chosen when the observer reports
-     * BatchNeed::HotPlanes): batches go out as SoaBatch views over four
-     * plane vectors and gap instructions become pure position advances —
-     * no 72-byte record is ever written. Bit-identical observations by
-     * the SoaBatch hot-plane contract (zeros at gap positions, implicit
-     * seq).
+     * Hot planes of the pending batch. Gap instructions are pure
+     * position advances over zeroed slots (the SoaBatch hot-plane
+     * contract: zeros at non-control positions, implicit seq); only
+     * control positions are written, and restored after delivery.
      */
-    bool soa = false;
     std::vector<uint32_t> pcP, targetP;
     std::vector<uint8_t> kindP, takenP;
-    uint64_t batchSeqBase = 0; //!< seq of plane/buf position 0
+    uint64_t batchSeqBase = 0; //!< seq of plane position 0
     size_t cap = 0;   //!< batch capacity (records per flush)
     uint64_t end;     //!< replay window length
     uint64_t seq = 0; //!< next seq to synthesize

@@ -22,9 +22,10 @@ namespace loopspec
  * vocabulary: kind (branch/jump/call/ret), taken, and the resolved target
  * address when taken. Operand values are included for the §4 statistics.
  *
- * Field order is width-descending so the record packs into 72 bytes —
- * the engine's fast path copies one per retired instruction, so padding
- * is bandwidth.
+ * Field order is width-descending so the record packs into 72 bytes.
+ * step() fills one per retired instruction; run() never builds them —
+ * its batches are SoaBatch planes, and materialize() rebuilds a record
+ * on demand.
  */
 struct DynInstr
 {
@@ -57,9 +58,10 @@ struct DynInstr
     }
 };
 
-// The engine's fast path copies one DynInstr per retired instruction;
-// the record was hand-packed to 72 bytes (field order width-descending)
-// and any padding regression is pure bandwidth loss. Pin the layout.
+// Every materialized record (the scalar path, the batch shim, the
+// per-static-instruction prototypes) is one of these; the record was
+// hand-packed to 72 bytes (field order width-descending) and any
+// padding regression is pure bandwidth loss. Pin the layout.
 static_assert(sizeof(DynInstr) == 72, "DynInstr must stay 72 bytes");
 static_assert(sizeof(CtrlKind) == 1 && sizeof(Opcode) == 1,
               "ISA enums must stay single-byte (SoA kind plane stride)");
@@ -71,7 +73,7 @@ static_assert(sizeof(CtrlKind) == 1 && sizeof(Opcode) == 1,
  * control-index consumers read — pc, resolved target, control kind and
  * taken-ness — at one-ninth the bandwidth of a DynInstr stream; seq is
  * implicit (record i retired at seqBase + i). Hot planes are valid at
- * every position and agree field-for-field with the AoS records: target
+ * every position and agree field-for-field with step()'s records: target
  * and taken are zero at non-control positions, a not-taken branch keeps
  * its static target, exactly like DynInstr.
  *
@@ -106,8 +108,8 @@ struct SoaBatch
 
     bool hasColdPlanes() const { return sidx != nullptr; }
 
-    /** Rebuild the full AoS record at position @p i (cold planes
-     *  required). Bit-identical to what the AoS batch path delivers. */
+    /** Rebuild the full record at position @p i (cold planes
+     *  required). Bit-identical to what step() delivers. */
     DynInstr
     materialize(size_t i) const
     {
@@ -125,12 +127,6 @@ struct SoaBatch
 
     /** Materialize records [begin, begin + n) into @p out. */
     void materializeRange(size_t begin, size_t n, DynInstr *out) const;
-
-    /** Materialize the whole batch into @p out (capacity >= count). */
-    void materializeAll(DynInstr *out) const
-    {
-        materializeRange(0, count, out);
-    }
 
     /** Per-instruction footprint of the hot planes alone. Pinned so a
      *  plane-type change (a widened kind enum, a bool-ified taken)
@@ -213,7 +209,7 @@ struct SoaBatchStorage
 };
 
 /**
- * What batch data an observer needs from the SoA fast path. Producers
+ * What batch data an observer needs from a SoaBatch producer. Producers
  * take the maximum over their observers: any FullRecords consumer makes
  * the producer fill the cold planes too, so the default-shim
  * materialization (and any direct cold-plane reader) stays exact.
@@ -221,66 +217,42 @@ struct SoaBatchStorage
 enum class BatchNeed : uint8_t
 {
     HotPlanes,   //!< pc/target/kind/taken + ctrl index + counts suffice
-    FullRecords, //!< needs operand/value planes (or materialized AoS)
+    FullRecords, //!< needs the operand/value cold planes
 };
 
 /**
  * Observer over a retired-instruction stream. Multiple observers can be
  * attached to one engine; they see each instruction in attach order.
  *
- * The engine's run() delivers instructions in batches (onInstrBatch);
- * step() delivers them one at a time (onInstr). The default batch
- * implementation forwards to onInstr, so an observer sees the identical
- * record sequence on either path and only overrides onInstrBatch when it
- * wants to amortise the virtual dispatch.
+ * Two entry points carry the same stream. step() calls onInstr once per
+ * retired instruction — the scalar reference. Every batch producer (the
+ * engine's run(), control-trace replay) calls onInstrBatchSoA with a
+ * SoaBatch; batch boundaries carry no meaning. The default
+ * onInstrBatchSoA materializes each record and calls onInstr, so an
+ * observer that only implements onInstr sees the identical record
+ * sequence on either path.
  */
 class TraceObserver
 {
   public:
     virtual ~TraceObserver() = default;
 
-    /** Called for every retired instruction. */
+    /** Called for every retired instruction (scalar path and the
+     *  default batch shim). */
     virtual void onInstr(const DynInstr &instr) = 0;
 
-    /** Called with a run of consecutively retired instructions, in
-     *  retire order. Batch boundaries carry no meaning. */
-    virtual void
-    onInstrBatch(const DynInstr *instrs, size_t count)
-    {
-        for (size_t i = 0; i < count; ++i)
-            onInstr(instrs[i]);
-    }
-
     /**
-     * Batch delivery with a precomputed control index: @p ctrl lists the
-     * positions i (ascending) where instrs[i].kind != CtrlKind::None.
-     * The producer knows where the transfers are (the engine classified
-     * them at predecode; replay recorded them), so control-driven
-     * observers skip the scan. Default forwards to onInstrBatch.
-     */
-    virtual void
-    onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                     const uint32_t *ctrl, size_t num_ctrl)
-    {
-        (void)ctrl;
-        (void)num_ctrl;
-        onInstrBatch(instrs, count);
-    }
-
-    /**
-     * Batch delivery in structure-of-arrays form (the engine's default
-     * fast path). The default implementation is the compatibility shim:
-     * it materializes the AoS records from the cold planes and forwards
-     * to onInstrBatchCtrl, so an observer written against the AoS
-     * vocabulary sees the identical record sequence. Observers on the
-     * hot path override this *and* batchNeed() — when every observer
-     * reports HotPlanes the producer skips the cold planes entirely,
-     * and the shim must never run (it panics without cold planes).
+     * Batch delivery. The default implementation is the record shim: it
+     * materializes each record from the cold planes and calls onInstr.
+     * Observers on the hot path override this *and* batchNeed() — when
+     * every observer reports HotPlanes the producer skips the cold
+     * planes entirely, and the shim must never run (it panics without
+     * cold planes).
      */
     virtual void onInstrBatchSoA(const SoaBatch &batch);
 
-    /** Data this observer needs from SoA deliveries. The conservative
-     *  default keeps unaware observers exact via the shim. */
+    /** Data this observer needs from batch deliveries. The conservative
+     *  default keeps onInstr-only observers exact via the shim. */
     virtual BatchNeed batchNeed() const { return BatchNeed::FullRecords; }
 
     /** Called once when the trace ends (Halt or fuel exhausted). */

@@ -14,13 +14,15 @@
  *    handler tag + operand indices, plus cold immediate/target planes),
  *    the hot loop executes from those flat arrays through a
  *    token-threaded dispatch (computed goto under GCC/Clang, a dense
- *    switch elsewhere), and retired records are delivered to observers
- *    in ~4K-instruction batches — SoA planes (onInstrBatchSoA) by
- *    default, AoS records (onInstrBatchCtrl) as the compatibility
- *    layout — one virtual call per batch instead of per instruction.
+ *    switch elsewhere), and retired instructions are delivered to
+ *    observers as ~4K-instruction SoaBatch views (onInstrBatchSoA) —
+ *    one virtual call per batch instead of per instruction. The batch
+ *    carries the hot control planes always and the operand/value cold
+ *    planes only when some observer asks for full records.
  *
- * All paths produce bit-identical instruction streams and may be mixed
- * on one engine.
+ * Both paths produce bit-identical instruction streams (SoaBatch::
+ * materialize rebuilds the step() record) and may be mixed on one
+ * engine.
  */
 
 #ifndef LOOPSPEC_TRACEGEN_TRACE_ENGINE_HH
@@ -47,17 +49,9 @@ struct EngineConfig
     /** Maximum call depth before panicking (runaway recursion guard). */
     uint32_t maxCallDepth = 1u << 20;
 
-    /** Records per observer batch on the run() fast path. */
+    /** Records per SoaBatch on the run() fast path. Batch boundaries
+     *  carry no meaning: every size yields the identical stream. */
     size_t batchInstrs = 4096;
-
-    /**
-     * Deliver run() batches as SoA planes (TraceObserver::onInstrBatchSoA)
-     * when true; as AoS DynInstr arrays (onInstrBatchCtrl) when false.
-     * Both deliveries carry bit-identical streams — AoS-only observers
-     * see materialized records through the SoA shim — so this is a
-     * layout/performance switch, not a semantic one.
-     */
-    bool soaBatches = true;
 };
 
 /**
@@ -167,7 +161,6 @@ class TraceEngine
     enum class FillMode : uint8_t
     {
         Unobserved, //!< no records: architectural effects only
-        Aos,        //!< DynInstr array + control index (compat layout)
         SoaHot,     //!< hot planes + control index only
         SoaFull,    //!< hot planes + operand/value cold planes
     };
@@ -175,7 +168,6 @@ class TraceEngine
     /** Output planes for fillCore; members for other modes stay null. */
     struct FillBufs
     {
-        DynInstr *buf = nullptr; //!< Aos
         uint32_t *ctrl = nullptr;
         uint32_t *pcP = nullptr; //!< SoaHot/SoaFull hot planes
         uint32_t *targetP = nullptr;
@@ -231,9 +223,10 @@ class TraceEngine
     /**
      * Per-static-instruction DynInstr prototype with every statically
      * known field prefilled (pc, opcode, kind, operand indices, direct
-     * targets, load/store flags). The hot loop copies the prototype and
-     * patches only the dynamic fields (seq, values, resolved control),
-     * replacing a zero-init plus a scatter of field stores.
+     * targets, load/store flags). The hot loop never touches it: full-
+     * record batches point SoaBatch::templates here, so materialize()
+     * and the cold-plane readers recover an instruction's static shape
+     * from its sidx without the engine writing it per retirement.
      */
     std::vector<DynInstr> recTemplate;
 

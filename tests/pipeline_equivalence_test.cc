@@ -432,11 +432,11 @@ struct Artifacts
 
 Artifacts
 collect(const Program &prog, size_t cls, uint64_t max_instrs, bool scalar,
-        bool soa_batches = true)
+        size_t batch_instrs = 4096)
 {
     EngineConfig cfg;
     cfg.maxInstrs = max_instrs;
-    cfg.soaBatches = soa_batches;
+    cfg.batchInstrs = batch_instrs;
     TraceEngine engine(prog, cfg);
     LoopDetector det({cls});
     LoopStats stats;
@@ -503,18 +503,20 @@ TEST(BatchVsScalar, PipelineArtifactsIdentical)
 
 TEST(BatchVsScalar, ArtifactsIdenticalAcrossLayoutsAtEveryClsSize)
 {
-    // Scalar step(), SoA hot-plane run(), and direct-AoS run() (the
-    // non-GNU fallback layout) must agree on every Table-1/Figure-4
-    // artifact at CLS 4/8/16 — the detector consumes a different
-    // delivery form in each case.
+    // Scalar step() and SoA run() at batch sizes 1, 37 and 4096 must
+    // agree on every Table-1/Figure-4 artifact at CLS 4/8/16 — batch
+    // boundaries land on different span and event positions each time.
     for (const char *name : kWorkloads) {
         SCOPED_TRACE(name);
         Program p = buildWorkload(name, {kScale});
         for (size_t cls : {4u, 8u, 16u}) {
             SCOPED_TRACE(cls);
             Artifacts ref = collect(p, cls, 0, true);
-            expectSameArtifacts(collect(p, cls, 0, false, true), ref);
-            expectSameArtifacts(collect(p, cls, 0, false, false), ref);
+            for (size_t batch : {1u, 37u, 4096u}) {
+                SCOPED_TRACE(batch);
+                expectSameArtifacts(collect(p, cls, 0, false, batch),
+                                    ref);
+            }
         }
     }
 }
@@ -597,6 +599,17 @@ TEST(ControlReplay, SaveLoadRoundTrip)
         EXPECT_EQ(back.transfers[i].kind, trace.transfers[i].kind);
         EXPECT_EQ(back.transfers[i].taken, trace.transfers[i].taken);
     }
+}
+
+TEST(ControlReplayDeathTest, FullRecordsObserverIsRejected)
+{
+    // A control trace has no operand values to fill cold planes from:
+    // replaying into an observer that asks for full records must fail
+    // loudly instead of handing it zeroed operands.
+    Program p = buildWorkload("li", {kScale});
+    ControlTrace trace = recordOnce(p, 16).first;
+    Collector full;
+    EXPECT_DEATH(replayControlTrace(trace, full), "operand values");
 }
 
 TEST(LoopEventReplay, MeterResultsMatchLiveMeters)

@@ -210,13 +210,18 @@ TEST(RunWorkloadTraceDir, StreamedReplayMatchesDirectExecution)
     flags.loopStats = true;
     flags.hitRatios = true;
     flags.ideal = true;
+    // Predictor meters ride the streamed pass beside the detector, so
+    // the trace-dir fan-out carries two hot-plane targets.
+    for (const char *spec : {"gshare:12", "tage:4/2-8"})
+        flags.predictors.push_back(parsePredictorSpec(spec));
     WorkloadArtifacts direct = runWorkload("compress", opts, flags);
 
     RunOptions replay = opts;
     replay.traceDir = dir;
     // checkReplay makes the runner itself cross-check the streamed
-    // replay against an in-memory replay of the same file (fatal on
-    // divergence), so this also exercises that oracle.
+    // replay — detector events and predictor state — against an
+    // in-memory replay of the same file (fatal on divergence), so this
+    // also exercises that oracle.
     replay.checkReplay = true;
     WorkloadArtifacts streamed = runWorkload("compress", replay, flags);
 
@@ -239,6 +244,16 @@ TEST(RunWorkloadTraceDir, StreamedReplayMatchesDirectExecution)
                   direct.litResults[i].second.hits);
         EXPECT_EQ(streamed.litResults[i].second.accesses,
                   direct.litResults[i].second.accesses);
+    }
+    ASSERT_EQ(streamed.predictorStats.size(), 2u);
+    ASSERT_EQ(direct.predictorStats.size(), 2u);
+    for (size_t i = 0; i < direct.predictorStats.size(); ++i) {
+        const PredictorMeterResult &a = direct.predictorStats[i];
+        const PredictorMeterResult &b = streamed.predictorStats[i];
+        EXPECT_GT(a.lookups, 0u) << i;
+        EXPECT_EQ(b.lookups, a.lookups) << i;
+        EXPECT_EQ(b.hits, a.hits) << i;
+        EXPECT_EQ(b.stateHash, a.stateHash) << i;
     }
 }
 

@@ -9,8 +9,9 @@
  * bit-identical to runSpecSweep / sweep_loopspec, cold and warm, for
  * cells, rows, ideal artifacts and the full JSON rendering (in-process,
  * --trace-dir, rows-only and zero-budget-cache grids) — end to end
- * through a live SweepServer socket as well as in process — and a
- * server that joins its finished connection threads.
+ * through a live SweepServer socket as well as in process — a server
+ * that joins its finished connection threads, and one that answers a
+ * corrupt --trace-dir payload with an error frame and keeps serving.
  */
 
 #include <sys/socket.h>
@@ -31,6 +32,8 @@
 #include "service/sweep_server.hh"
 #include "service/sweep_service.hh"
 #include "speculation/sweep.hh"
+#include "trace_io/container.hh"
+#include "trace_io/trace_codec.hh"
 #include "util/logging.hh"
 
 using namespace loopspec;
@@ -605,6 +608,87 @@ TEST(SweepServer, ServesGridOverUnixSocketAndShutsDown)
     // Only the sweep that actually ran counts; the rejected one never
     // reached the engine.
     EXPECT_EQ(server.service().requestsServed(), 1u);
+}
+
+TEST(SweepServer, CorruptTracePayloadIsAnErrorNotACrash)
+{
+    // Two exported containers; flip one payload byte of compress's.
+    // Header and section table still validate, so the corruption only
+    // surfaces mid-stream, inside the streamed functional pass.
+    char dir_template[] = "/tmp/sweepd_test_corrupt_XXXXXX";
+    ASSERT_NE(mkdtemp(dir_template), nullptr);
+    const std::string trace_dir = dir_template;
+    RunOptions export_opts;
+    export_opts.scale.factor = 0.1;
+    for (const char *w : {"compress", "li"})
+        exportWorkloadTrace(w, export_opts, trace_dir,
+                            TraceEncoding::Varint);
+    const std::string bad_path =
+        traceFilePath(trace_dir, "compress", kControlTraceExt);
+    std::vector<uint8_t> bytes;
+    ASSERT_EQ(readFileBytes(bad_path, &bytes), "");
+    uint64_t table_offset = 0;
+    for (int i = 7; i >= 0; --i)
+        table_offset = (table_offset << 8) | bytes[16 + i];
+    ASSERT_GT(table_offset, kTraceHeaderBytes + 64);
+    bytes[(kTraceHeaderBytes + table_offset) / 2] ^= 0x01;
+    writeFileBytes(bad_path, bytes);
+
+    SweepServerConfig cfg;
+    cfg.socketPath = strprintf("/tmp/sweepd_test_corrupt_%d.sock",
+                               static_cast<int>(getpid()));
+    cfg.service.jobs = 2;
+    cfg.service.traceDir = trace_dir;
+    SweepServer server(cfg);
+    ASSERT_EQ(server.start(), "");
+
+    std::string err;
+    int fd = connectUnixSocket(cfg.socketPath, &err);
+    ASSERT_GE(fd, 0) << err;
+    const auto request = [&](MsgType req_type, const std::string &body,
+                             std::string *response) {
+        MsgType type{};
+        bool eof = false;
+        EXPECT_EQ(writeFrame(fd, req_type, body), "");
+        EXPECT_EQ(
+            readFrame(fd, &type, response, kMaxResponseBytes, &eof), "");
+        return type;
+    };
+    const std::string grid_spec = "policies=str;tus=2;cls=8,16;ideal=1";
+    SweepRequest req;
+    req.grid = grid_spec;
+    req.scale = "0.1";
+    req.jobs = "2";
+    req.traceDir = trace_dir;
+    std::string response;
+
+    req.benchmarks = "compress";
+    EXPECT_EQ(request(MsgType::SweepReq, encodeSweepRequest(req),
+                      &response),
+              MsgType::ErrResp);
+    EXPECT_NE(response.find(bad_path), std::string::npos) << response;
+
+    // The daemon survived: it still answers a ping and a good grid,
+    // and the good grid is bit-identical to a direct sweep.
+    EXPECT_EQ(request(MsgType::PingReq, "", &response), MsgType::PongResp);
+    req.benchmarks = "li";
+    ASSERT_EQ(request(MsgType::SweepReq, encodeSweepRequest(req),
+                      &response),
+              MsgType::JsonResp)
+        << response;
+    SweepGrid grid;
+    grid.workloads = {"li"};
+    grid.scale.factor = 0.1;
+    grid.traceDir = trace_dir;
+    ASSERT_EQ(applyGridSpec(grid_spec, &grid), "");
+    std::ostringstream direct;
+    writeSweepJson(direct, runSpecSweep(grid, 2), 2);
+    EXPECT_EQ(response.substr(0, response.find("\"wall\"")),
+              direct.str().substr(0, direct.str().find("\"wall\"")));
+
+    ::close(fd);
+    server.stop();
+    std::filesystem::remove_all(trace_dir);
 }
 
 TEST(SweepServer, ConcurrentClientsGetIdenticalResponses)

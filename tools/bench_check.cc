@@ -5,12 +5,12 @@
  *   bench_check --baseline FILE --current FILE [--threshold F]
  *               [--noise-floor F] [--absolute] [--self-check]
  *
- * Default mode compares the *speedup ratios* (batched_aos_vs_scalar,
- * batched_soa_vs_scalar, soa_vs_aos, interleaved_vs_sequential): each
- * ratio in the current run must not fall more than --threshold
- * (default 0.05 = 5%) below the committed baseline. Ratios divide out
- * the machine, so a baseline recorded on one box gates runs on another
- * — the committed BENCH_throughput.json is the fleet-wide reference.
+ * Default mode compares the *speedup ratios* (batched_soa_vs_scalar,
+ * interleaved_vs_sequential): each ratio in the current run must not
+ * fall more than --threshold (default 0.05 = 5%) below the committed
+ * baseline. Ratios divide out the machine, so a baseline recorded on
+ * one box gates runs on another — the committed BENCH_throughput.json
+ * is the fleet-wide reference.
  *
  * --absolute additionally gates the per-path Minstr/s rows at the same
  * relative threshold. Only meaningful when baseline and current come
@@ -46,7 +46,7 @@ namespace
 /**
  * Minimal parser for the flat two-level JSON bench_throughput emits:
  * collects every "key": number pair, qualifying nested keys with their
- * object path ("paths.scalar.instrs_per_sec", "speedup.soa_vs_aos").
+ * object path ("paths.scalar.instrs_per_sec", "speedup.batched_soa_vs_scalar").
  * Anything structurally unexpected is a hard error — the input is
  * machine-written.
  */
