@@ -34,7 +34,6 @@
 #include "harness/runner.hh"
 #include "loop/loop_detector.hh"
 #include "loop/loop_stats.hh"
-#include "speculation/event_record.hh"
 #include "trace_io/stream_reader.hh"
 #include "trace_io/trace_codec.hh"
 #include "tracegen/control_trace.hh"
@@ -131,23 +130,17 @@ main(int argc, char **argv)
     const std::string json_path =
         args->getString("json", "BENCH_trace_io.json");
 
-    // One functional pass records the trace + recording to measure on.
+    // One functional pass records the trace to measure on.
     Program prog = buildWorkload(bench, opts.scale);
     EngineConfig ecfg;
     ecfg.maxInstrs = opts.maxInstrs;
     ControlTrace ctrace;
-    LoopEventRecording recording;
     {
         TraceEngine engine(prog, ecfg);
         ControlTraceRecorder crec;
-        LoopDetector det({opts.clsEntries});
-        LoopEventRecorder lrec;
-        det.addListener(&lrec);
         engine.addObserver(&crec);
-        engine.addObserver(&det);
         engine.run();
         ctrace = crec.take();
-        recording = lrec.take();
     }
 
     const std::string dir = "."; // scratch files live beside the JSON
@@ -156,7 +149,6 @@ main(int argc, char **argv)
         const char *name;
         TraceEncoding enc;
         uint64_t traceBytes = 0;
-        uint64_t recBytes = 0;
         double writeSec = 0.0;
         double readSec = 0.0;
     };
@@ -165,7 +157,6 @@ main(int argc, char **argv)
 
     for (EncStat &e : encs) {
         e.traceBytes = encodeControlTrace(ctrace, e.enc).size();
-        e.recBytes = encodeRecording(recording, e.enc).size();
         std::string path = traceFilePath(
             dir, strprintf("bench_io_%s", e.name), kControlTraceExt);
         e.writeSec = best(reps, [&] {
@@ -181,10 +172,6 @@ main(int argc, char **argv)
     const double trace_ratio =
         encs[0].traceBytes
             ? static_cast<double>(encs[1].traceBytes) / encs[0].traceBytes
-            : 0.0;
-    const double rec_ratio =
-        encs[0].recBytes
-            ? static_cast<double>(encs[1].recBytes) / encs[0].recBytes
             : 0.0;
 
     // Replay paths, all against the raw-encoded container.
@@ -252,8 +239,7 @@ main(int argc, char **argv)
     else
         t.print(std::cout);
     std::cout << "varint/raw size ratio: trace "
-              << strprintf("%.3f", trace_ratio) << ", recording "
-              << strprintf("%.3f", rec_ratio) << "\n"
+              << strprintf("%.3f", trace_ratio) << "\n"
               << "replay Minstr/s: mmap "
               << strprintf("%.2f", perSec(instrs, mmap_sec) / 1e6)
               << ", streaming "
@@ -273,8 +259,7 @@ main(int argc, char **argv)
     for (size_t i = 0; i < 2; ++i) {
         const EncStat &e = encs[i];
         js << "    \"" << e.name << "\": {\"trace_bytes\": "
-           << e.traceBytes << ", \"recording_bytes\": " << e.recBytes
-           << ", \"write_mb_per_sec\": "
+           << e.traceBytes << ", \"write_mb_per_sec\": "
            << mbPerSec(e.traceBytes, e.writeSec)
            << ", \"read_mb_per_sec\": "
            << mbPerSec(e.traceBytes, e.readSec) << "}"
@@ -282,7 +267,7 @@ main(int argc, char **argv)
     }
     js << "  },\n"
        << "  \"compression_ratio\": {\"trace\": " << trace_ratio
-       << ", \"recording\": " << rec_ratio << "},\n"
+       << "},\n"
        << "  \"replay\": {\n"
        << "    \"mmap_instrs_per_sec\": " << perSec(instrs, mmap_sec)
        << ",\n"

@@ -29,15 +29,6 @@ constexpr size_t kEntryOverheadBytes = 128;
 } // namespace
 
 std::string
-RecordingCache::traceKey(const std::string &workload, double scale_factor,
-                         uint64_t max_instrs, const std::string &src)
-{
-    return "ctrace|" + workload + "|scale=" + scaleBits(scale_factor) +
-           "|max=" + std::to_string(max_instrs) + "|src=" + src +
-           "|fmt=engine-v1";
-}
-
-std::string
 RecordingCache::recordingKey(const std::string &workload,
                              double scale_factor, uint64_t max_instrs,
                              const std::string &src, size_t cls,

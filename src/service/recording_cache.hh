@@ -110,16 +110,10 @@ class RecordingCache
     RecordingCache(const RecordingCache &) = delete;
     RecordingCache &operator=(const RecordingCache &) = delete;
 
-    /** Content-address of a workload's control trace: everything that
-     *  determines its bytes (the fields every other key extends).
+    /** Content-address of a (workload, CLS) recording+index pair.
      *  @p src is the serving trace directory or "run" for in-process
      *  execution; @p scale_factor is keyed on its exact bit pattern, so
-     *  0.25 and 0.250000001 never collide. */
-    static std::string traceKey(const std::string &workload,
-                                double scale_factor, uint64_t max_instrs,
-                                const std::string &src);
-
-    /** Content-address of a (workload, CLS) recording+index pair.
+     *  0.25 and 0.250000001 never collide.
      *  @p annotations names the derived data-speculation annotations
      *  the recording carries ("" = none, "l" = live-in flags, "m" =
      *  conflict sources, "lm" = both) — an annotated recording must

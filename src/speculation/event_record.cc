@@ -1,8 +1,5 @@
 #include "speculation/event_record.hh"
 
-#include <istream>
-#include <ostream>
-
 #include "dataspec/data_profiler.hh"
 #include "util/logging.hh"
 
@@ -88,8 +85,8 @@ deriveRecordingEvents(LoopEventRecording &rec)
     // boundaries from the recorded events (bulk pass, off the per-event
     // hot path). Exec ids are allocated densely by the detector starting
     // at 1, so a flat vector indexes the live executions; anything a
-    // well-formed stream can't contain is a diagnostic, not an assert —
-    // the container decoder runs this on untrusted files.
+    // well-formed stream can't contain is a diagnostic, not an assert,
+    // so hand-built recordings (tests) get a message, not an abort.
     rec.events.clear();
     rec.events.reserve(rec.loopEvents.size() / 2);
     for (ExecRecord &x : rec.execs) {
@@ -232,6 +229,11 @@ compareRecordings(const LoopEventRecording &a,
     return {};
 }
 
+namespace
+{
+
+/** Deliver one recorded event to @p listeners; for ExecStart the caller
+ *  supplies the ExecRecord fields the compact event omits. */
 void
 dispatchLoopEvent(const LoopEventRec &e, uint32_t branch_addr,
                   uint64_t parent_exec_id,
@@ -274,6 +276,8 @@ dispatchLoopEvent(const LoopEventRec &e, uint32_t branch_addr,
     }
 }
 
+} // namespace
+
 void
 replayLoopEvents(const LoopEventRecording &recording,
                  const std::vector<LoopListener *> &listeners)
@@ -295,125 +299,6 @@ replayLoopEvents(const LoopEventRecording &recording,
     }
     for (auto *l : listeners)
         l->onTraceDone(recording.totalInstrs);
-}
-
-namespace
-{
-
-// "LSREC02v". The format stores both the loopEvents stream and the
-// SimEvents/boundaries derived from it: redundant on disk, but load()
-// stays a straight deserialisation and recordings are ready to use
-// without re-running the onTraceDone derivation.
-constexpr uint64_t recordingMagic = 0x4c53524543303276ull;
-
-template <typename T>
-void
-writePod(std::ostream &os, const T &value)
-{
-    os.write(reinterpret_cast<const char *>(&value), sizeof(T));
-}
-
-template <typename T>
-T
-readPod(std::istream &is)
-{
-    T value{};
-    is.read(reinterpret_cast<char *>(&value), sizeof(T));
-    if (!is)
-        fatal("recording stream truncated");
-    return value;
-}
-
-} // namespace
-
-void
-LoopEventRecording::save(std::ostream &os) const
-{
-    writePod(os, recordingMagic);
-    writePod(os, totalInstrs);
-    writePod(os, static_cast<uint64_t>(execs.size()));
-    for (const auto &x : execs) {
-        writePod(os, x.execId);
-        writePod(os, x.loop);
-        writePod(os, x.branchAddr);
-        writePod(os, x.depth);
-        writePod(os, x.parentExecId);
-        writePod(os, x.endBoundary);
-        writePod(os, x.iterCount);
-        writePod(os, static_cast<uint8_t>(x.endReason));
-        writePod(os, static_cast<uint64_t>(x.iterBoundaries.size()));
-        for (uint64_t b : x.iterBoundaries)
-            writePod(os, b);
-        writePod(os, static_cast<uint64_t>(x.iterDataOk.size()));
-        for (bool f : x.iterDataOk)
-            writePod(os, static_cast<uint8_t>(f));
-    }
-    writePod(os, static_cast<uint64_t>(events.size()));
-    for (const auto &e : events) {
-        writePod(os, e.boundary);
-        writePod(os, e.execIdx);
-        writePod(os, e.iterIndex);
-        writePod(os, static_cast<uint8_t>(e.kind));
-    }
-    writePod(os, static_cast<uint64_t>(loopEvents.size()));
-    for (const auto &e : loopEvents) {
-        writePod(os, e.pos);
-        writePod(os, e.execId);
-        writePod(os, e.loop);
-        writePod(os, e.aux);
-        writePod(os, e.depth);
-        writePod(os, static_cast<uint8_t>(e.kind));
-        writePod(os, static_cast<uint8_t>(e.reason));
-    }
-}
-
-LoopEventRecording
-LoopEventRecording::load(std::istream &is)
-{
-    if (readPod<uint64_t>(is) != recordingMagic)
-        fatal("not a loopspec recording (bad magic)");
-    LoopEventRecording rec;
-    rec.totalInstrs = readPod<uint64_t>(is);
-    uint64_t num_execs = readPod<uint64_t>(is);
-    rec.execs.resize(num_execs);
-    for (auto &x : rec.execs) {
-        x.execId = readPod<uint64_t>(is);
-        x.loop = readPod<uint32_t>(is);
-        x.branchAddr = readPod<uint32_t>(is);
-        x.depth = readPod<uint32_t>(is);
-        x.parentExecId = readPod<uint64_t>(is);
-        x.endBoundary = readPod<uint64_t>(is);
-        x.iterCount = readPod<uint32_t>(is);
-        x.endReason = static_cast<ExecEndReason>(readPod<uint8_t>(is));
-        uint64_t nb = readPod<uint64_t>(is);
-        x.iterBoundaries.resize(nb);
-        for (auto &b : x.iterBoundaries)
-            b = readPod<uint64_t>(is);
-        uint64_t nf = readPod<uint64_t>(is);
-        x.iterDataOk.resize(nf);
-        for (uint64_t i = 0; i < nf; ++i)
-            x.iterDataOk[i] = readPod<uint8_t>(is) != 0;
-    }
-    uint64_t num_events = readPod<uint64_t>(is);
-    rec.events.resize(num_events);
-    for (auto &e : rec.events) {
-        e.boundary = readPod<uint64_t>(is);
-        e.execIdx = readPod<uint32_t>(is);
-        e.iterIndex = readPod<uint32_t>(is);
-        e.kind = static_cast<SimEventKind>(readPod<uint8_t>(is));
-    }
-    uint64_t num_loop_events = readPod<uint64_t>(is);
-    rec.loopEvents.resize(num_loop_events);
-    for (auto &e : rec.loopEvents) {
-        e.pos = readPod<uint64_t>(is);
-        e.execId = readPod<uint64_t>(is);
-        e.loop = readPod<uint32_t>(is);
-        e.aux = readPod<uint32_t>(is);
-        e.depth = readPod<uint32_t>(is);
-        e.kind = static_cast<LoopEventKind>(readPod<uint8_t>(is));
-        e.reason = static_cast<ExecEndReason>(readPod<uint8_t>(is));
-    }
-    return rec;
 }
 
 } // namespace loopspec

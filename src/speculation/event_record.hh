@@ -15,7 +15,6 @@
 #define LOOPSPEC_SPECULATION_EVENT_RECORD_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -54,8 +53,8 @@ struct ExecRecord
      * Optional conflict annotation (annotateConflicts): iterDepSrc[j-2]
      * is the largest iteration index whose store feeds a load of
      * iteration j (0 = none). A thread spawned at front iteration f
-     * violates on iteration j iff iterDepSrc[j-2] >= f. Derived, never
-     * serialised (save/load drop it; compareRecordings ignores it).
+     * violates on iteration j iff iterDepSrc[j-2] >= f. Derived
+     * (compareRecordings ignores it).
      */
     std::vector<uint32_t> iterDepSrc;
 
@@ -63,7 +62,7 @@ struct ExecRecord
      * Optional registers-only live-in annotation (mergeDataCorrectness):
      * iterLiveInOk[j-2] says whether every live-in *register* of
      * iteration j was stride predictable — DataMode::Full's value
-     * misprediction source. Derived, never serialised.
+     * misprediction source. Derived.
      */
     std::vector<bool> iterLiveInOk;
 
@@ -146,12 +145,6 @@ struct LoopEventRecording
         }
         return bytes;
     }
-
-    /** Serialise to a stream (simple binary format, versioned). */
-    void save(std::ostream &os) const;
-
-    /** Load a recording saved by save(); fatal() on format errors. */
-    static LoopEventRecording load(std::istream &is);
 };
 
 /**
@@ -163,8 +156,7 @@ struct LoopEventRecording
  * depth, parentExecId); everything derived is recomputed from scratch.
  *
  * The recorder runs this in onTraceDone (an error there is an internal
- * bug → panic); the trace-container decoder runs the very same pass on
- * untrusted input, so structural inconsistencies (events for unknown
+ * bug → panic). Structural inconsistencies (events for unknown
  * executions, executions left open, out-of-range kinds) come back as a
  * diagnostic string — "" on success — never as UB or an abort.
  */
@@ -179,17 +171,6 @@ std::string deriveRecordingEvents(LoopEventRecording &rec);
  */
 void replayLoopEvents(const LoopEventRecording &recording,
                       const std::vector<LoopListener *> &listeners);
-
-/**
- * Deliver one recorded event to @p listeners — the dispatch step of
- * replayLoopEvents, shared with the out-of-core streaming reader so
- * both replay paths reconstruct identical listener callbacks. For
- * ExecStart the caller supplies the sidecar fields the compact event
- * omits (@p branch_addr, @p parent_exec_id); other kinds ignore them.
- */
-void dispatchLoopEvent(const LoopEventRec &e, uint32_t branch_addr,
-                       uint64_t parent_exec_id,
-                       const std::vector<LoopListener *> &listeners);
 
 /**
  * Field-by-field comparison of two recordings (loop-event stream, exec

@@ -381,6 +381,8 @@ applyGridSpec(const std::string &spec, SweepGrid *grid)
                     static_cast<unsigned>(thr);
             }
         } else if (key == "ideal") {
+            if (vals.size() != 1)
+                return "grid: ideal wants one 0/1 switch (e.g. ideal=1)";
             uint64_t n = 0;
             err = tryParseGridU64(vals[0], "grid ideal", &n);
             if (!err.empty())

@@ -686,29 +686,6 @@ checkInvariants(const EventLog &log, const std::vector<DynInstr> &stream,
 // same oracle now also backs the sweep engine's --check-replay of
 // control-trace-derived recordings.
 
-/** Field-by-field control-trace comparison; empty string when equal. */
-std::string
-compareControlTraces(const ControlTrace &a, const ControlTrace &b)
-{
-    if (a.totalInstrs != b.totalInstrs) {
-        return strprintf("totalInstrs %llu vs %llu",
-                         static_cast<unsigned long long>(b.totalInstrs),
-                         static_cast<unsigned long long>(a.totalInstrs));
-    }
-    if (a.transfers.size() != b.transfers.size()) {
-        return strprintf("%zu transfers vs %zu", b.transfers.size(),
-                         a.transfers.size());
-    }
-    for (size_t i = 0; i < a.transfers.size(); ++i) {
-        const CtrlTransfer &x = a.transfers[i];
-        const CtrlTransfer &y = b.transfers[i];
-        if (x.seq != y.seq || x.pc != y.pc || x.target != y.target ||
-            x.kind != y.kind || x.taken != y.taken)
-            return strprintf("transfer %zu differs", i);
-    }
-    return {};
-}
-
 /** One seeded corruption of @p image; never a byte-identical copy. */
 std::vector<uint8_t>
 corruptImage(const std::vector<uint8_t> &image, Rng &rng)
@@ -738,20 +715,14 @@ corruptImage(const std::vector<uint8_t> &image, Rng &rng)
 std::string
 requireCorruptionRejected(const char *what,
                           const std::vector<uint8_t> &image,
-                          bool is_recording, size_t variants)
+                          size_t variants)
 {
     Rng rng(crc32(image.data(), image.size()) ^
             (static_cast<uint64_t>(image.size()) << 32));
     for (size_t i = 0; i < variants; ++i) {
         std::vector<uint8_t> bad = corruptImage(image, rng);
-        std::string err;
-        if (is_recording) {
-            LoopEventRecording out;
-            err = decodeRecording(bad.data(), bad.size(), &out);
-        } else {
-            ControlTrace out;
-            err = decodeControlTrace(bad.data(), bad.size(), &out);
-        }
+        ControlTrace out;
+        std::string err = decodeControlTrace(bad.data(), bad.size(), &out);
         if (err.empty()) {
             return strprintf("disk: %s corruption variant %zu decoded "
                              "cleanly (%zu -> %zu bytes)",
@@ -764,7 +735,7 @@ requireCorruptionRejected(const char *what,
 /** Unique scratch path for the streaming-replay leg (fuzz campaigns
  *  run many DiffChecker threads in one process). */
 std::string
-tempImagePath(const char *ext)
+tempImagePath()
 {
     static std::atomic<uint64_t> counter{0};
     const char *dir = std::getenv("TMPDIR");
@@ -774,21 +745,18 @@ tempImagePath(const char *ext)
                      static_cast<int>(getpid()),
                      static_cast<unsigned long long>(
                          counter.fetch_add(1)),
-                     ext);
+                     kControlTraceExt);
 }
 
 /**
  * Disk round-trip oracle (DiffConfig::diskOracle): both encodings of
- * both containers decode back bit-exactly; the out-of-core streaming
- * replay of the written files reproduces the reference event log and
- * re-records the identical recording; and every seeded corruption is
- * rejected with a diagnostic.
+ * the control-trace container decode back bit-exactly; the out-of-core
+ * streaming replay of the written file reproduces the reference event
+ * log; and every seeded corruption is rejected with a diagnostic.
  */
 std::string
-checkDiskRoundTrip(const ControlTrace &ctrace,
-                   const LoopEventRecording &recording,
-                   const EventLog &ref_log, size_t cls,
-                   const DiffConfig &cfg)
+checkDiskRoundTrip(const ControlTrace &ctrace, const EventLog &ref_log,
+                   size_t cls, const DiffConfig &cfg)
 {
     for (TraceEncoding enc :
          {TraceEncoding::Raw, TraceEncoding::Varint}) {
@@ -811,28 +779,9 @@ checkDiskRoundTrip(const ControlTrace &ctrace,
                              err.c_str());
         }
 
-        std::vector<uint8_t> rimg = encodeRecording(recording, enc);
-        LoopEventRecording rback;
-        err = decodeRecording(rimg.data(), rimg.size(), &rback);
-        if (!err.empty()) {
-            return strprintf("disk: %s recording image rejected by its "
-                             "own decoder: %s",
-                             ename, err.c_str());
-        }
-        err = compareRecordings(recording, rback);
-        if (!err.empty()) {
-            return strprintf("disk: %s recording round-trip: %s", ename,
-                             err.c_str());
-        }
-
         // Corruption corpus: flips, truncations, extensions.
         err = requireCorruptionRejected(
-            strprintf("%s control", ename).c_str(), cimg, false,
-            cfg.corruptionsPerImage);
-        if (!err.empty())
-            return err;
-        err = requireCorruptionRejected(
-            strprintf("%s recording", ename).c_str(), rimg, true,
+            strprintf("%s control", ename).c_str(), cimg,
             cfg.corruptionsPerImage);
         if (!err.empty())
             return err;
@@ -844,7 +793,7 @@ checkDiskRoundTrip(const ControlTrace &ctrace,
         StreamConfig scfg;
         scfg.chunkBytes = 512;
 
-        std::string cpath = tempImagePath(kControlTraceExt);
+        std::string cpath = tempImagePath();
         writeFileBytes(cpath, cimg);
         EventLog log_s;
         {
@@ -869,36 +818,6 @@ checkDiskRoundTrip(const ControlTrace &ctrace,
             log_s);
         if (!err.empty())
             return err;
-
-        std::string rpath = tempImagePath(kRecordingExt);
-        writeFileBytes(rpath, rimg);
-        EventLog log_e;
-        LoopEventRecorder rerec;
-        {
-            std::unique_ptr<TraceFileStreamer> streamer =
-                TraceFileStreamer::open(rpath, scfg, &err);
-            if (!streamer) {
-                std::remove(rpath.c_str());
-                return strprintf("disk: %s recording stream open: %s",
-                                 ename, err.c_str());
-            }
-            err = streamer->replayEvents({&log_e, &rerec});
-        }
-        std::remove(rpath.c_str());
-        if (!err.empty()) {
-            return strprintf("disk: %s recording stream replay: %s",
-                             ename, err.c_str());
-        }
-        err = compareLogs(
-            strprintf("disk %s event-stream", ename).c_str(), ref_log,
-            log_e);
-        if (!err.empty())
-            return err;
-        err = compareRecordings(recording, rerec.take());
-        if (!err.empty()) {
-            return strprintf("disk: %s event-stream re-recording: %s",
-                             ename, err.c_str());
-        }
     }
     return {};
 }
@@ -1214,7 +1133,7 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         // container codecs are CLS-independent, so one pass (at the
         // first CLS size) per program keeps fuzz throughput.
         if (cfg.diskOracle && cls == cfg.clsSizes.front()) {
-            err = checkDiskRoundTrip(ctrace, recording, log_a, cls, cfg);
+            err = checkDiskRoundTrip(ctrace, log_a, cls, cfg);
             if (!err.empty())
                 return DiffResult::fail(err);
         }

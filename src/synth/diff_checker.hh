@@ -143,13 +143,13 @@ struct DiffConfig
 
     /**
      * Disk round-trip oracle (docs/TRACE_FORMAT.md): encode the
-     * ControlTrace and LoopEventRecording as container images under
-     * both encodings, decode them back and require bit-exact recovery;
-     * write them to real files and require the out-of-core streaming
-     * replay to reproduce the reference event log; then apply seeded
-     * byte-flip / truncation / extension corruptions to every image and
-     * require each one to be rejected with a diagnostic — a corrupted
-     * container must never decode cleanly or replay wrong-but-clean.
+     * ControlTrace as a container image under both encodings, decode it
+     * back and require bit-exact recovery; write it to a real file and
+     * require the out-of-core streaming replay to reproduce the
+     * reference event log; then apply seeded byte-flip / truncation /
+     * extension corruptions to every image and require each one to be
+     * rejected with a diagnostic — a corrupted container must never
+     * decode cleanly or replay wrong-but-clean.
      * Default on; tools/fuzz_loopspec --no-disk-oracle disables it.
      */
     bool diskOracle = true;

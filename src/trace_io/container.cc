@@ -89,14 +89,14 @@ parseContainerHeader(const uint8_t *data, size_t size,
                       minor, kTraceFormatMinor);
 
     uint32_t content = static_cast<uint32_t>(getLe(data + 12, 4));
-    if (content != static_cast<uint32_t>(TraceContent::ControlTrace) &&
-        content !=
-            static_cast<uint32_t>(TraceContent::LoopEventRecording))
-        return fmtErr("unknown content kind %u", content);
+    if (content != static_cast<uint32_t>(TraceContent::ControlTrace))
+        return fmtErr("unsupported content kind %u (only control "
+                      "traces, kind %u, are read)",
+                      content,
+                      static_cast<uint32_t>(TraceContent::ControlTrace));
 
     out->versionMajor = major;
     out->versionMinor = minor;
-    out->content = static_cast<TraceContent>(content);
     *table_offset = getLe(data + 16, 8);
     *section_count = static_cast<uint32_t>(getLe(data + 24, 4));
     return "";
@@ -157,6 +157,10 @@ parseSectionTable(const uint8_t *table, uint32_t count,
             return fmtErr("section %u (kind %u) has unknown encoding "
                           "%u",
                           i, desc.kind, desc.encoding);
+        if (desc.kind != static_cast<uint32_t>(SectionKind::CtrlMeta) &&
+            desc.kind != static_cast<uint32_t>(SectionKind::CtrlTransfers))
+            return fmtErr("unexpected section kind %u (section %u)",
+                          desc.kind, i);
         expect_offset += desc.byteSize;
         out->sections.push_back(desc);
     }
@@ -189,13 +193,14 @@ parseContainer(const uint8_t *data, size_t size, ContainerLayout *out)
 
 // ------------------------------------------------------ TraceFileBuilder
 
-TraceFileBuilder::TraceFileBuilder(TraceContent content)
+TraceFileBuilder::TraceFileBuilder()
 {
     image.resize(kTraceHeaderBytes, 0);
     memcpy(image.data(), kTraceMagic, sizeof(kTraceMagic));
     storeLe(image.data() + 8, kTraceFormatMajor, 2);
     storeLe(image.data() + 10, kTraceFormatMinor, 2);
-    storeLe(image.data() + 12, static_cast<uint32_t>(content), 4);
+    storeLe(image.data() + 12,
+            static_cast<uint32_t>(TraceContent::ControlTrace), 4);
 }
 
 void

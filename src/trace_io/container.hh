@@ -9,7 +9,7 @@
  *     0   8  magic 89 4C 53 54 52 0D 0A 1A  ("\x89LSTR\r\n\x1a")
  *     8   2  versionMajor (= kTraceFormatMajor)
  *    10   2  versionMinor (= kTraceFormatMinor)
- *    12   4  contentKind  (ControlTrace | LoopEventRecording)
+ *    12   4  contentKind  (= 1, ControlTrace)
  *    16   8  sectionTableOffset
  *    24   4  sectionCount
  *    28   4  headerCrc    (CRC32 of bytes [0, 28))
@@ -46,11 +46,12 @@ constexpr uint16_t kTraceFormatMinor = 0;
 constexpr size_t kTraceHeaderBytes = 32;
 constexpr size_t kSectionDescBytes = 40;
 
-/** What a container holds (FileHeader::contentKind). */
+/** What a container holds (FileHeader::contentKind). Kind 2, the
+ *  retired loop-event recording, is refused like any unknown kind:
+ *  recordings are re-derived from the control trace by replay. */
 enum class TraceContent : uint32_t
 {
-    ControlTrace = 1,      //!< retired control-transfer stream (LSCTR)
-    LoopEventRecording = 2 //!< loop-event stream + exec sidecar (LSREC)
+    ControlTrace = 1, //!< retired control-transfer stream
 };
 
 /** Section payload encodings. */
@@ -64,15 +65,12 @@ enum class TraceEncoding : uint32_t
 TraceEncoding traceEncodingFromName(const std::string &name);
 const char *traceEncodingName(TraceEncoding enc);
 
-/** Section kinds. */
+/** Section kinds. Kinds 3-6 belonged to the retired recording
+ *  content and are refused as unexpected sections. */
 enum class SectionKind : uint32_t
 {
     CtrlMeta = 1,      //!< totalInstrs + transfer count (raw, 16 B)
     CtrlTransfers = 2, //!< CtrlTransfer stream
-    RecMeta = 3,       //!< totalInstrs + exec/event counts (raw, 24 B)
-    RecExecs = 4,      //!< per-exec sidecar: branchAddr, parentExecId
-    RecLoopEvents = 5, //!< LoopEventRec stream
-    RecIterDataOk = 6, //!< optional §4 per-iteration flags (bit-packed)
 };
 
 /** One decoded section-table entry. */
@@ -93,7 +91,6 @@ struct SectionDesc
  */
 struct ContainerLayout
 {
-    TraceContent content = TraceContent::ControlTrace;
     uint16_t versionMajor = 0;
     uint16_t versionMinor = 0;
     std::vector<SectionDesc> sections;
@@ -103,8 +100,9 @@ struct ContainerLayout
 
 /**
  * Parse and structurally validate the header + section table of a
- * @p size byte container (magic, version policy, CRCs of header and
- * table, section bounds, exact total size). Returns "" on success.
+ * @p size byte container (magic, version policy, content kind, CRCs of
+ * header and table, section kinds and bounds, exact total size).
+ * Returns "" on success.
  */
 std::string parseContainer(const uint8_t *data, size_t size,
                            ContainerLayout *out);
@@ -133,7 +131,7 @@ std::string parseSectionTable(const uint8_t *table, uint32_t count,
 class TraceFileBuilder
 {
   public:
-    explicit TraceFileBuilder(TraceContent content);
+    TraceFileBuilder();
 
     /** Append one section; payload bytes are copied into the image. */
     void addSection(SectionKind kind, TraceEncoding encoding,
@@ -167,7 +165,6 @@ class MappedTraceFile
     MappedTraceFile &operator=(const MappedTraceFile &) = delete;
 
     const ContainerLayout &layout() const { return layout_; }
-    TraceContent content() const { return layout_.content; }
     uint64_t fileBytes() const { return size_; }
     bool isMmapped() const { return mmapped; }
 

@@ -44,51 +44,11 @@ ControlTraceSource::pump(uint64_t chunk_instrs)
     return true;
 }
 
-EventRecordingSource::EventRecordingSource(
-    const LoopEventRecording &recording,
-    std::vector<LoopListener *> listeners)
-    : rec(recording), listeners(std::move(listeners))
-{
-}
-
-bool
-EventRecordingSource::pump(uint64_t chunk_instrs)
-{
-    LOOPSPEC_ASSERT(!done, "pump() after completion");
-    uint64_t goal = pos + chunk_instrs;
-    while (next < rec.loopEvents.size()) {
-        const LoopEventRec &e = rec.loopEvents[next];
-        if (e.pos >= goal && goal < rec.totalInstrs) {
-            pos = goal;
-            return true;
-        }
-        uint32_t branch_addr = 0;
-        uint64_t parent_exec_id = 0;
-        if (e.kind == LoopEventKind::ExecStart) {
-            LOOPSPEC_ASSERT(nextExec < rec.execs.size(),
-                            "more ExecStart events than ExecRecords");
-            const ExecRecord &r = rec.execs[nextExec++];
-            branch_addr = r.branchAddr;
-            parent_exec_id = r.parentExecId;
-        }
-        dispatchLoopEvent(e, branch_addr, parent_exec_id, listeners);
-        pos = e.pos;
-        ++next;
-    }
-    for (auto *l : listeners)
-        l->onTraceDone(rec.totalInstrs);
-    pos = rec.totalInstrs;
-    done = true;
-    return false;
-}
-
 StreamedControlSource::StreamedControlSource(TraceFileStreamer &streamer,
                                              TraceObserver &observer,
                                              uint64_t max_instrs)
+    : pumpImpl(streamer.openControlPump(observer, max_instrs))
 {
-    pumpImpl = streamer.openControlPump(observer, max_instrs, &err);
-    if (!pumpImpl)
-        done = true; // error() carries the diagnostic
 }
 
 bool
@@ -105,7 +65,7 @@ StreamedControlSource::pump(uint64_t chunk_instrs)
 uint64_t
 StreamedControlSource::position() const
 {
-    return pumpImpl ? pumpImpl->position() : 0;
+    return pumpImpl->position();
 }
 
 std::string
@@ -114,17 +74,8 @@ interleaveReplay(const std::vector<ReplaySource *> &sources,
 {
     LOOPSPEC_ASSERT(chunk_instrs >= 1, "chunk_instrs must be >= 1");
     std::string first_err;
-    std::vector<bool> live(sources.size());
-    size_t remaining = 0;
-    for (size_t i = 0; i < sources.size(); ++i) {
-        // A source that failed to construct (streamer open error) is
-        // already terminal; collect its diagnostic without pumping.
-        live[i] = sources[i]->error().empty();
-        if (live[i])
-            ++remaining;
-        else if (first_err.empty())
-            first_err = sources[i]->error();
-    }
+    std::vector<bool> live(sources.size(), true);
+    size_t remaining = sources.size();
     while (remaining) {
         for (size_t i = 0; i < sources.size(); ++i) {
             if (!live[i])

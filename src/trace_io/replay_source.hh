@@ -1,19 +1,19 @@
 /**
  * @file
- * Interleaved multi-recording replay. A ReplaySource is an incremental
- * pump over one recorded trace: each pump() advances that replay by
- * roughly a chunk of instructions, delivering batches/events to the
- * source's own observer or listener set. interleaveReplay() round-robins
- * fixed-size chunks across N independent sources, so N replays of the
- * same (or co-resident) recordings advance in lockstep — the recording's
- * bytes are pulled through the cache once per chunk and reused by every
- * source instead of once per full sequential pass.
+ * Interleaved multi-trace replay. A ReplaySource is an incremental pump
+ * over one control trace: each pump() advances that replay by roughly a
+ * chunk of instructions, delivering batches to the source's own
+ * observer. interleaveReplay() round-robins fixed-size chunks across N
+ * independent sources, so N replays of the same (or co-resident) traces
+ * advance in lockstep — the trace's bytes are pulled through the cache
+ * once per chunk and reused by every source instead of once per full
+ * sequential pass.
  *
  * Each source observes exactly the stream its sequential counterpart
  * would deliver (same synthesized records, same batch boundaries — the
- * pumps drive the very same ControlReplaySynthesizer / dispatchLoopEvent
- * machinery), so interleaving is a pure scheduling change: per-source
- * artifacts are bit-identical to sequential replay.
+ * pumps drive the very same ControlReplaySynthesizer), so interleaving
+ * is a pure scheduling change: per-source artifacts are bit-identical
+ * to sequential replay.
  */
 
 #ifndef LOOPSPEC_TRACE_IO_REPLAY_SOURCE_HH
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "speculation/event_record.hh"
 #include "tracegen/control_trace.hh"
 #include "trace_io/stream_reader.hh"
 
@@ -33,7 +32,7 @@ namespace loopspec
 /**
  * One replayable trace being advanced in chunks. pump() returns true
  * while the source has more to deliver; once it returns false the
- * replay is complete (final onTraceEnd/onTraceDone delivered) or failed
+ * replay is complete (final onTraceEnd delivered) or failed
  * (error() non-empty) and pump() must not be called again.
  */
 class ReplaySource
@@ -81,35 +80,9 @@ class ControlTraceSource : public ReplaySource
 };
 
 /**
- * Pump over an in-memory LoopEventRecording, dispatching loop events to
- * a listener set in recorded order — the chunked equivalent of
- * replayLoopEvents() with identical callbacks.
- */
-class EventRecordingSource : public ReplaySource
-{
-  public:
-    /** @p recording and @p listeners must outlive the source. */
-    EventRecordingSource(const LoopEventRecording &recording,
-                         std::vector<LoopListener *> listeners);
-
-    bool pump(uint64_t chunk_instrs) override;
-    uint64_t position() const override { return pos; }
-    const std::string &error() const override { return err; }
-
-  private:
-    const LoopEventRecording &rec;
-    std::vector<LoopListener *> listeners;
-    size_t next = 0;      //!< next loop event to dispatch
-    size_t nextExec = 0;  //!< next ExecRecord (ExecStart sidecar)
-    uint64_t pos = 0;
-    bool done = false;
-    std::string err; //!< always "" (in-memory replay cannot fail)
-};
-
-/**
  * Pump over an out-of-core control-trace container, wrapping
- * TraceFileStreamer::openControlPump(). Owns nothing: streamer and
- * observer must outlive the source.
+ * TraceFileStreamer::openControlPump(). Owns only that pump: streamer
+ * and observer must outlive the source.
  */
 class StreamedControlSource : public ReplaySource
 {

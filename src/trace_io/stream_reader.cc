@@ -9,7 +9,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "speculation/event_record.hh"
 #include "trace_io/crc32.hh"
 #include "trace_io/trace_codec.hh"
 #include "trace_io/varint.hh"
@@ -176,48 +175,29 @@ TraceFileStreamer::open(const std::string &path,
         }
     }
 
-    // Content-specific shape: required sections, meta fields, counts.
+    // Control-trace shape: the raw meta section, and a transfer count
+    // that agrees with it.
     if (e.empty()) {
-        bool ctrl = s->layout.content == TraceContent::ControlTrace;
-        const SectionDesc *meta = s->layout.find(
-            ctrl ? SectionKind::CtrlMeta : SectionKind::RecMeta);
-        const size_t meta_size = ctrl ? 16 : 24;
-        if (!meta || meta->byteSize != meta_size ||
+        const SectionDesc *meta = s->layout.find(SectionKind::CtrlMeta);
+        if (!meta || meta->byteSize != 16 ||
             meta->encoding !=
                 static_cast<uint32_t>(TraceEncoding::Raw)) {
             e = "missing or malformed meta section";
         } else {
-            uint8_t raw[24];
-            e = preadAll(s->fd, raw, meta_size, meta->offset, path);
+            uint8_t raw[16];
+            e = preadAll(s->fd, raw, sizeof(raw), meta->offset, path);
             if (e.empty() &&
-                crc32(raw, meta_size) != meta->payloadCrc)
+                crc32(raw, sizeof(raw)) != meta->payloadCrc)
                 e = "meta section payload CRC mismatch";
             if (e.empty()) {
                 s->metaTotalInstrs = getLe(raw, 8);
-                s->metaCounts[0] = getLe(raw + 8, 8);
-                if (!ctrl)
-                    s->metaCounts[1] = getLe(raw + 16, 8);
-            }
-        }
-        if (e.empty()) {
-            if (ctrl) {
                 const SectionDesc *sec =
                     s->layout.find(SectionKind::CtrlTransfers);
                 if (!sec)
                     e = "missing CtrlTransfers section";
-                else if (sec->itemCount != s->metaCounts[0])
+                else if (sec->itemCount != getLe(raw + 8, 8))
                     e = "CtrlTransfers item count disagrees with "
                         "CtrlMeta";
-            } else {
-                const SectionDesc *ex =
-                    s->layout.find(SectionKind::RecExecs);
-                const SectionDesc *ev =
-                    s->layout.find(SectionKind::RecLoopEvents);
-                if (!ex || !ev)
-                    e = "missing RecExecs or RecLoopEvents section";
-                else if (ex->itemCount != s->metaCounts[0] ||
-                         ev->itemCount != s->metaCounts[1])
-                    e = "section item counts disagree with RecMeta";
             }
         }
     }
@@ -239,24 +219,6 @@ void
 TraceFileStreamer::notePeak(size_t bytes)
 {
     peakBytes = std::max(peakBytes, bytes);
-}
-
-std::string
-TraceFileStreamer::verifySectionCrc(const SectionDesc &desc)
-{
-    Cursor cur(fd, path, desc, config.chunkBytes);
-    while (cur.canRefill()) {
-        std::string e = cur.refill();
-        if (!e.empty())
-            return e;
-        notePeak(cur.bufferBytes());
-        cur.advance(cur.end());
-    }
-    if (cur.crc() != desc.payloadCrc)
-        return strprintf("section kind %u payload CRC mismatch: "
-                         "stored %08x, computed %08x",
-                         desc.kind, desc.payloadCrc, cur.crc());
-    return "";
 }
 
 /**
@@ -367,21 +329,8 @@ TraceFileStreamer::ControlPump::position() const
 
 std::unique_ptr<TraceFileStreamer::ControlPump>
 TraceFileStreamer::openControlPump(TraceObserver &observer,
-                                   uint64_t max_instrs, std::string *err)
+                                   uint64_t max_instrs)
 {
-    if (layout.content != TraceContent::ControlTrace) {
-        *err = path + ": container is not a control trace";
-        return nullptr;
-    }
-    for (const SectionDesc &d : layout.sections) {
-        if (d.kind != static_cast<uint32_t>(SectionKind::CtrlMeta) &&
-            d.kind !=
-                static_cast<uint32_t>(SectionKind::CtrlTransfers)) {
-            *err = strprintf("%s: unexpected section kind %u",
-                             path.c_str(), d.kind);
-            return nullptr;
-        }
-    }
     const SectionDesc &sec = *layout.find(SectionKind::CtrlTransfers);
     std::unique_ptr<ControlPump> pump(new ControlPump);
     pump->impl.reset(new ControlPump::Impl(*this, sec, observer,
@@ -393,124 +342,10 @@ std::string
 TraceFileStreamer::replayControl(TraceObserver &observer,
                                  uint64_t max_instrs)
 {
-    std::string err;
-    auto pump = openControlPump(observer, max_instrs, &err);
-    if (!pump)
-        return err;
+    auto pump = openControlPump(observer, max_instrs);
     while (pump->pump(UINT64_MAX)) {
     }
     return pump->error();
-}
-
-std::string
-TraceFileStreamer::replayEvents(
-    const std::vector<LoopListener *> &listeners)
-{
-    if (layout.content != TraceContent::LoopEventRecording)
-        return path + ": container is not a loop-event recording";
-    const SectionDesc &ev_sec =
-        *layout.find(SectionKind::RecLoopEvents);
-    const SectionDesc &ex_sec = *layout.find(SectionKind::RecExecs);
-    for (const SectionDesc &d : layout.sections) {
-        if (d.kind <
-                static_cast<uint32_t>(SectionKind::RecMeta) ||
-            d.kind > static_cast<uint32_t>(SectionKind::RecIterDataOk))
-            return strprintf("%s: unexpected section kind %u",
-                             path.c_str(), d.kind);
-    }
-
-    Cursor ev_cur(fd, path, ev_sec, config.chunkBytes);
-    Cursor ex_cur(fd, path, ex_sec, config.chunkBytes);
-    LoopEventDecoder ev_dec(
-        static_cast<TraceEncoding>(ev_sec.encoding));
-    ExecSidecarDecoder ex_dec(
-        static_cast<TraceEncoding>(ex_sec.encoding));
-    uint64_t ev_count = 0;
-    uint64_t ex_count = 0;
-
-    // Pull one sidecar record; "" on success.
-    auto next_exec = [&](uint32_t *branch_addr,
-                         uint64_t *parent) -> std::string {
-        for (;;) {
-            const uint8_t *p = ex_cur.data();
-            int r = ex_dec.next(&p, ex_cur.end(), branch_addr, parent);
-            if (r < 0)
-                return path + ": " + ex_dec.error();
-            if (r == 1) {
-                ex_cur.advance(p);
-                ++ex_count;
-                return "";
-            }
-            if (!ex_cur.canRefill()) {
-                if (ex_cur.buffered() != 0)
-                    return path + ": truncated exec sidecar record";
-                return path +
-                       ": more ExecStart events than sidecar records";
-            }
-            std::string e = ex_cur.refill();
-            if (!e.empty())
-                return e;
-            notePeak(ev_cur.bufferBytes() + ex_cur.bufferBytes());
-        }
-    };
-
-    for (;;) {
-        const uint8_t *p = ev_cur.data();
-        LoopEventRec e;
-        int r = ev_dec.next(&p, ev_cur.end(), &e);
-        if (r < 0)
-            return path + ": " + ev_dec.error();
-        if (r == 1) {
-            ev_cur.advance(p);
-            ++ev_count;
-            uint32_t branch_addr = 0;
-            uint64_t parent = 0;
-            if (e.kind == LoopEventKind::ExecStart) {
-                std::string se = next_exec(&branch_addr, &parent);
-                if (!se.empty())
-                    return se;
-            }
-            dispatchLoopEvent(e, branch_addr, parent, listeners);
-            continue;
-        }
-        if (ev_cur.canRefill()) {
-            std::string se = ev_cur.refill();
-            if (!se.empty())
-                return se;
-            notePeak(ev_cur.bufferBytes() + ex_cur.bufferBytes());
-            continue;
-        }
-        if (ev_cur.buffered() != 0)
-            return path + ": truncated loop event record";
-        break;
-    }
-
-    if (ev_count != ev_sec.itemCount)
-        return strprintf("%s: decoded %llu loop events, table "
-                         "promised %llu",
-                         path.c_str(), (unsigned long long)ev_count,
-                         (unsigned long long)ev_sec.itemCount);
-    if (ex_count != ex_sec.itemCount)
-        return strprintf("%s: event stream starts %llu executions, "
-                         "sidecar holds %llu",
-                         path.c_str(), (unsigned long long)ex_count,
-                         (unsigned long long)ex_sec.itemCount);
-    // Drain any sidecar bytes past the last ExecStart so the CRC and
-    // exact-consumption checks cover the whole section.
-    if (ex_cur.canRefill() || ex_cur.buffered() != 0)
-        return path + ": trailing bytes after exec sidecar";
-    if (ev_cur.crc() != ev_sec.payloadCrc ||
-        ex_cur.crc() != ex_sec.payloadCrc)
-        return path + ": recording payload CRC mismatch";
-    const SectionDesc *ok_sec = layout.find(SectionKind::RecIterDataOk);
-    if (ok_sec) {
-        std::string se = verifySectionCrc(*ok_sec);
-        if (!se.empty())
-            return path + ": " + se;
-    }
-    for (LoopListener *l : listeners)
-        l->onTraceDone(metaTotalInstrs);
-    return "";
 }
 
 } // namespace loopspec

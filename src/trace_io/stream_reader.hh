@@ -1,19 +1,19 @@
 /**
  * @file
- * Out-of-core trace replay: stream a container file through the replay
- * paths in fixed-size chunks, never materialising the transfer vector
- * or event stream in memory. This is what makes the 10^5-static-loop /
+ * Out-of-core trace replay: stream a control-trace container through
+ * the replay path in fixed-size chunks, never materialising the
+ * transfer vector in memory. This is what makes the 10^5-static-loop /
  * multi-billion-instruction synthetic traces replayable within a small
  * fixed memory budget (docs/TRACE_FORMAT.md).
  *
- * Bit-identity with the in-memory paths comes for free: the chunked
- * cursors feed the very same incremental decoders (trace_codec.hh) into
- * the very same ControlReplaySynthesizer / listener dispatch that
- * replayControlTrace and replayLoopEvents use, so batch boundaries and
- * every synthesized instruction are identical by construction.
+ * Bit-identity with the in-memory path comes for free: the chunked
+ * cursor feeds the very same incremental decoder (trace_codec.hh) into
+ * the very same ControlReplaySynthesizer that replayControlTrace uses,
+ * so batch boundaries and every synthesized instruction are identical
+ * by construction.
  *
- * Integrity: section CRCs are accumulated incrementally as chunks are
- * read and checked before the final onTraceEnd/onTraceDone is
+ * Integrity: the transfer section's CRC is accumulated incrementally as
+ * chunks are read and checked before the final onTraceEnd is
  * delivered. On any error the replay returns a diagnostic and the
  * observer's partial state must be discarded — a corrupted file can
  * never complete a replay.
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "trace_io/container.hh"
 
@@ -33,7 +32,6 @@ namespace loopspec
 {
 
 class TraceObserver;
-class LoopListener;
 
 /** Smallest per-section read granularity open() will run with: chunks
  *  below this are raised to it (a record split across a chunk boundary
@@ -53,9 +51,9 @@ struct StreamConfig
 };
 
 /**
- * Bounded-buffer reader over one container file. open() reads and
- * validates only the header and section table; payload bytes are
- * pulled chunk-at-a-time during replay.
+ * Bounded-buffer reader over one control-trace container. open() reads
+ * and validates only the header, section table and meta section;
+ * transfer bytes are pulled chunk-at-a-time during replay.
  */
 class TraceFileStreamer
 {
@@ -69,10 +67,7 @@ class TraceFileStreamer
     TraceFileStreamer(const TraceFileStreamer &) = delete;
     TraceFileStreamer &operator=(const TraceFileStreamer &) = delete;
 
-    TraceContent content() const { return layout.content; }
-    const ContainerLayout &sections() const { return layout; }
-
-    /** Trace length from the meta section (either content kind). */
+    /** Trace length from the meta section. */
     uint64_t totalInstrs() const { return metaTotalInstrs; }
 
     /** Container size on disk (for buffer-vs-file budget assertions). */
@@ -123,19 +118,10 @@ class TraceFileStreamer
         bool finished = false;
     };
 
-    /** Open an incremental control replay over this container; nullptr
-     *  with *err when it is not a control trace. The streamer and
-     *  @p observer must outlive the pump. */
+    /** Open an incremental control replay over this container. The
+     *  streamer and @p observer must outlive the pump. */
     std::unique_ptr<ControlPump> openControlPump(TraceObserver &observer,
-                                                 uint64_t max_instrs,
-                                                 std::string *err);
-
-    /**
-     * Stream a LoopEventRecording container into @p listeners exactly
-     * like replayLoopEvents, pulling the exec sidecar in lockstep with
-     * the ExecStart events. Same error contract as replayControl.
-     */
-    std::string replayEvents(const std::vector<LoopListener *> &listeners);
+                                                 uint64_t max_instrs);
 
     /** High-water mark of buffered payload bytes across all replays —
      *  the out-of-core guarantee a test can assert against. */
@@ -146,8 +132,6 @@ class TraceFileStreamer
 
     class Cursor;
 
-    /** Stream-verify the payload CRC of @p desc without decoding. */
-    std::string verifySectionCrc(const SectionDesc &desc);
     void notePeak(size_t bytes);
 
     std::string path;
@@ -155,7 +139,6 @@ class TraceFileStreamer
     uint64_t fileSize = 0;
     ContainerLayout layout;
     uint64_t metaTotalInstrs = 0;
-    uint64_t metaCounts[2] = {0, 0}; //!< transfers | execs, loopEvents
     StreamConfig config;
     size_t peakBytes = 0;
 };

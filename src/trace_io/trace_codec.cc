@@ -17,8 +17,6 @@ namespace
 {
 
 constexpr size_t kCtrlRawBytes = 18;
-constexpr size_t kEventRawBytes = 30;
-constexpr size_t kExecRawBytes = 12;
 
 } // namespace
 
@@ -120,117 +118,6 @@ varint_short:
     return 0;
 }
 
-int
-LoopEventDecoder::next(const uint8_t **p, const uint8_t *end,
-                       LoopEventRec *out)
-{
-    uint64_t pos;
-    uint64_t exec_id;
-    uint64_t loop;
-    uint64_t aux;
-    uint64_t depth;
-    uint8_t kind;
-    uint8_t reason;
-    const uint8_t *q = *p;
-    size_t avail = static_cast<size_t>(end - q);
-
-    if (enc == TraceEncoding::Raw) {
-        if (avail < kEventRawBytes)
-            return 0;
-        pos = getLe(q, 8);
-        exec_id = getLe(q + 8, 8);
-        loop = getLe(q + 16, 4);
-        aux = getLe(q + 20, 4);
-        depth = getLe(q + 24, 4);
-        kind = q[28];
-        reason = q[29];
-        q += kEventRawBytes;
-    } else {
-        int64_t dpos;
-        int64_t dexec;
-        if (!getSvarint(&q, end, &dpos) ||
-            !getSvarint(&q, end, &dexec) ||
-            !getVarint(&q, end, &loop) || !getVarint(&q, end, &aux) ||
-            !getVarint(&q, end, &depth))
-            goto varint_short;
-        if (q == end)
-            goto varint_short;
-        uint8_t kr = *q++;
-        if (kr >= 0x40) {
-            err = "loop event with unknown flag bits";
-            return -1;
-        }
-        pos = prevPos + static_cast<uint64_t>(dpos);
-        exec_id = prevExec + static_cast<uint64_t>(dexec);
-        kind = kr & 0x7;
-        reason = kr >> 3;
-    }
-
-    if (kind > static_cast<uint8_t>(LoopEventKind::SingleIter)) {
-        err = strprintf("loop event with invalid kind %u", kind);
-        return -1;
-    }
-    if (reason > static_cast<uint8_t>(ExecEndReason::TraceEnd)) {
-        err = strprintf("loop event with invalid end reason %u", reason);
-        return -1;
-    }
-    if (loop > UINT32_MAX || aux > UINT32_MAX || depth > UINT32_MAX) {
-        err = "loop event field out of range";
-        return -1;
-    }
-    prevPos = pos;
-    prevExec = exec_id;
-    out->pos = pos;
-    out->execId = exec_id;
-    out->loop = static_cast<uint32_t>(loop);
-    out->aux = static_cast<uint32_t>(aux);
-    out->depth = static_cast<uint32_t>(depth);
-    out->kind = static_cast<LoopEventKind>(kind);
-    out->reason = static_cast<ExecEndReason>(reason);
-    *p = q;
-    return 1;
-
-varint_short:
-    if (avail >= kMaxEventRecordBytes) {
-        err = "malformed varint in loop event";
-        return -1;
-    }
-    return 0;
-}
-
-int
-ExecSidecarDecoder::next(const uint8_t **p, const uint8_t *end,
-                         uint32_t *branch_addr, uint64_t *parent_exec_id)
-{
-    const uint8_t *q = *p;
-    size_t avail = static_cast<size_t>(end - q);
-
-    if (enc == TraceEncoding::Raw) {
-        if (avail < kExecRawBytes)
-            return 0;
-        *branch_addr = static_cast<uint32_t>(getLe(q, 4));
-        *parent_exec_id = getLe(q + 4, 8);
-        q += kExecRawBytes;
-    } else {
-        uint64_t addr;
-        if (!getVarint(&q, end, &addr) ||
-            !getVarint(&q, end, parent_exec_id)) {
-            if (avail >= kMaxExecRecordBytes) {
-                err = "malformed varint in exec sidecar";
-                return -1;
-            }
-            return 0;
-        }
-        if (addr > UINT32_MAX) {
-            err = "exec branch address out of range";
-            return -1;
-        }
-        *branch_addr = static_cast<uint32_t>(addr);
-    }
-    *p = q;
-    return 1;
-}
-
 // --------------------------------------------------------------- encode
 
 namespace
@@ -267,86 +154,12 @@ encodeCtrlPayload(const std::vector<CtrlTransfer> &transfers,
     return out;
 }
 
-std::vector<uint8_t>
-encodeEventPayload(const std::vector<LoopEventRec> &events,
-                   TraceEncoding enc)
-{
-    std::vector<uint8_t> out;
-    if (enc == TraceEncoding::Raw) {
-        out.reserve(events.size() * kEventRawBytes);
-        for (const LoopEventRec &e : events) {
-            putLe(out, e.pos, 8);
-            putLe(out, e.execId, 8);
-            putLe(out, e.loop, 4);
-            putLe(out, e.aux, 4);
-            putLe(out, e.depth, 4);
-            out.push_back(static_cast<uint8_t>(e.kind));
-            out.push_back(static_cast<uint8_t>(e.reason));
-        }
-        return out;
-    }
-    uint64_t prev_pos = 0;
-    uint64_t prev_exec = 0;
-    for (const LoopEventRec &e : events) {
-        putSvarint(out, static_cast<int64_t>(e.pos - prev_pos));
-        putSvarint(out, static_cast<int64_t>(e.execId - prev_exec));
-        putVarint(out, e.loop);
-        putVarint(out, e.aux);
-        putVarint(out, e.depth);
-        out.push_back(static_cast<uint8_t>(e.kind) |
-                      (static_cast<uint8_t>(e.reason) << 3));
-        prev_pos = e.pos;
-        prev_exec = e.execId;
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-encodeExecPayload(const std::vector<ExecRecord> &execs,
-                  TraceEncoding enc)
-{
-    std::vector<uint8_t> out;
-    for (const ExecRecord &x : execs) {
-        if (enc == TraceEncoding::Raw) {
-            putLe(out, x.branchAddr, 4);
-            putLe(out, x.parentExecId, 8);
-        } else {
-            putVarint(out, x.branchAddr);
-            putVarint(out, x.parentExecId);
-        }
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-encodeIterDataOkPayload(const std::vector<ExecRecord> &execs)
-{
-    std::vector<uint8_t> out;
-    for (const ExecRecord &x : execs) {
-        putVarint(out, x.iterDataOk.size());
-        uint8_t byte = 0;
-        unsigned bit = 0;
-        for (bool f : x.iterDataOk) {
-            if (f)
-                byte |= static_cast<uint8_t>(1u << bit);
-            if (++bit == 8) {
-                out.push_back(byte);
-                byte = 0;
-                bit = 0;
-            }
-        }
-        if (bit)
-            out.push_back(byte);
-    }
-    return out;
-}
-
 } // namespace
 
 std::vector<uint8_t>
 encodeControlTrace(const ControlTrace &trace, TraceEncoding enc)
 {
-    TraceFileBuilder builder(TraceContent::ControlTrace);
+    TraceFileBuilder builder;
     std::vector<uint8_t> meta;
     putLe(meta, trace.totalInstrs, 8);
     putLe(meta, trace.transfers.size(), 8);
@@ -358,60 +171,19 @@ encodeControlTrace(const ControlTrace &trace, TraceEncoding enc)
     return builder.finish();
 }
 
-std::vector<uint8_t>
-encodeRecording(const LoopEventRecording &rec, TraceEncoding enc)
-{
-    TraceFileBuilder builder(TraceContent::LoopEventRecording);
-    std::vector<uint8_t> meta;
-    putLe(meta, rec.totalInstrs, 8);
-    putLe(meta, rec.execs.size(), 8);
-    putLe(meta, rec.loopEvents.size(), 8);
-    builder.addSection(SectionKind::RecMeta, TraceEncoding::Raw, 1,
-                       meta);
-    builder.addSection(SectionKind::RecExecs, enc, rec.execs.size(),
-                       encodeExecPayload(rec.execs, enc));
-    builder.addSection(SectionKind::RecLoopEvents, enc,
-                       rec.loopEvents.size(),
-                       encodeEventPayload(rec.loopEvents, enc));
-    bool any_flags = false;
-    for (const ExecRecord &x : rec.execs)
-        any_flags = any_flags || !x.iterDataOk.empty();
-    if (any_flags)
-        builder.addSection(SectionKind::RecIterDataOk,
-                           TraceEncoding::Raw, rec.execs.size(),
-                           encodeIterDataOkPayload(rec.execs));
-    return builder.finish();
-}
-
 // --------------------------------------------------------------- decode
 
 namespace
 {
 
-/** Common open: parse layout, verify every payload CRC, check content
- *  and that only @p allowed section kinds appear. */
+/** Common open: parse layout and verify every payload CRC. */
 std::string
-openImage(const uint8_t *data, size_t size, TraceContent want,
-          const std::vector<SectionKind> &allowed,
-          ContainerLayout *layout)
+openImage(const uint8_t *data, size_t size, ContainerLayout *layout)
 {
     std::string err = parseContainer(data, size, layout);
     if (!err.empty())
         return err;
-    if (layout->content != want)
-        return strprintf("container holds %s, expected %s",
-                         layout->content == TraceContent::ControlTrace
-                             ? "a control trace"
-                             : "a loop-event recording",
-                         want == TraceContent::ControlTrace
-                             ? "a control trace"
-                             : "a loop-event recording");
     for (const SectionDesc &desc : layout->sections) {
-        bool known = false;
-        for (SectionKind k : allowed)
-            known = known || desc.kind == static_cast<uint32_t>(k);
-        if (!known)
-            return strprintf("unexpected section kind %u", desc.kind);
         uint32_t actual = crc32(data + desc.offset, desc.byteSize);
         if (actual != desc.payloadCrc)
             return strprintf("section kind %u payload CRC mismatch: "
@@ -437,10 +209,7 @@ std::string
 decodeControlTrace(const uint8_t *data, size_t size, ControlTrace *out)
 {
     ContainerLayout layout;
-    std::string err =
-        openImage(data, size, TraceContent::ControlTrace,
-                  {SectionKind::CtrlMeta, SectionKind::CtrlTransfers},
-                  &layout);
+    std::string err = openImage(data, size, &layout);
     if (!err.empty())
         return err;
 
@@ -482,116 +251,6 @@ decodeControlTrace(const uint8_t *data, size_t size, ControlTrace *out)
     return "";
 }
 
-std::string
-decodeRecording(const uint8_t *data, size_t size,
-                LoopEventRecording *out)
-{
-    ContainerLayout layout;
-    std::string err = openImage(
-        data, size, TraceContent::LoopEventRecording,
-        {SectionKind::RecMeta, SectionKind::RecExecs,
-         SectionKind::RecLoopEvents, SectionKind::RecIterDataOk},
-        &layout);
-    if (!err.empty())
-        return err;
-
-    const SectionDesc *meta =
-        requireSection(layout, SectionKind::RecMeta, "RecMeta", &err);
-    if (!meta)
-        return err;
-    if (meta->byteSize != 24)
-        return "RecMeta section has wrong size";
-    out->totalInstrs = getLe(data + meta->offset, 8);
-    uint64_t num_execs = getLe(data + meta->offset + 8, 8);
-    uint64_t num_events = getLe(data + meta->offset + 16, 8);
-
-    const SectionDesc *ev_sec = requireSection(
-        layout, SectionKind::RecLoopEvents, "RecLoopEvents", &err);
-    const SectionDesc *exec_sec = requireSection(
-        layout, SectionKind::RecExecs, "RecExecs", &err);
-    if (!ev_sec || !exec_sec)
-        return err;
-    if (ev_sec->itemCount != num_events ||
-        exec_sec->itemCount != num_execs)
-        return "section item counts disagree with RecMeta";
-
-    out->loopEvents.clear();
-    out->execs.clear();
-    out->events.clear();
-    LoopEventDecoder ev_dec(
-        static_cast<TraceEncoding>(ev_sec->encoding));
-    const uint8_t *p = data + ev_sec->offset;
-    const uint8_t *end = p + ev_sec->byteSize;
-    while (p != end) {
-        LoopEventRec e;
-        int r = ev_dec.next(&p, end, &e);
-        if (r < 0)
-            return ev_dec.error();
-        if (r == 0)
-            return "truncated loop event record";
-        out->loopEvents.push_back(e);
-        if (e.kind == LoopEventKind::ExecStart) {
-            ExecRecord x;
-            x.execId = e.execId;
-            x.loop = e.loop;
-            x.depth = e.depth;
-            out->execs.push_back(std::move(x));
-        }
-    }
-    if (out->loopEvents.size() != num_events)
-        return strprintf("decoded %zu loop events, header promised "
-                         "%llu",
-                         out->loopEvents.size(),
-                         (unsigned long long)num_events);
-    if (out->execs.size() != num_execs)
-        return strprintf("event stream starts %zu executions, header "
-                         "promised %llu",
-                         out->execs.size(),
-                         (unsigned long long)num_execs);
-
-    ExecSidecarDecoder ex_dec(
-        static_cast<TraceEncoding>(exec_sec->encoding));
-    p = data + exec_sec->offset;
-    end = p + exec_sec->byteSize;
-    for (ExecRecord &x : out->execs) {
-        int r = ex_dec.next(&p, end, &x.branchAddr, &x.parentExecId);
-        if (r < 0)
-            return ex_dec.error();
-        if (r == 0)
-            return "truncated exec sidecar record";
-    }
-    if (p != end)
-        return "trailing bytes after exec sidecar";
-
-    err = deriveRecordingEvents(*out);
-    if (!err.empty())
-        return "inconsistent recording: " + err;
-
-    const SectionDesc *ok_sec = layout.find(SectionKind::RecIterDataOk);
-    if (ok_sec) {
-        if (ok_sec->itemCount != num_execs)
-            return "RecIterDataOk item count disagrees with RecMeta";
-        p = data + ok_sec->offset;
-        end = p + ok_sec->byteSize;
-        for (ExecRecord &x : out->execs) {
-            uint64_t count;
-            if (!getVarint(&p, end, &count) ||
-                count > ok_sec->byteSize * 8)
-                return "malformed RecIterDataOk section";
-            uint64_t bytes = (count + 7) / 8;
-            if (static_cast<uint64_t>(end - p) < bytes)
-                return "truncated RecIterDataOk section";
-            x.iterDataOk.resize(count);
-            for (uint64_t i = 0; i < count; ++i)
-                x.iterDataOk[i] = (p[i / 8] >> (i % 8)) & 1;
-            p += bytes;
-        }
-        if (p != end)
-            return "trailing bytes after RecIterDataOk";
-    }
-    return "";
-}
-
 // --------------------------------------------------------- file helpers
 
 std::string
@@ -630,13 +289,6 @@ writeControlTraceFile(const std::string &path, const ControlTrace &trace,
     writeFileBytes(path, encodeControlTrace(trace, enc));
 }
 
-void
-writeRecordingFile(const std::string &path,
-                   const LoopEventRecording &rec, TraceEncoding enc)
-{
-    writeFileBytes(path, encodeRecording(rec, enc));
-}
-
 std::string
 loadControlTraceFile(const std::string &path, ControlTrace *out)
 {
@@ -650,19 +302,6 @@ loadControlTraceFile(const std::string &path, ControlTrace *out)
     return "";
 }
 
-std::string
-loadRecordingFile(const std::string &path, LoopEventRecording *out)
-{
-    std::vector<uint8_t> bytes;
-    std::string err = readFileBytes(path, &bytes);
-    if (!err.empty())
-        return err;
-    err = decodeRecording(bytes.data(), bytes.size(), out);
-    if (!err.empty())
-        return path + ": " + err;
-    return "";
-}
-
 ControlTrace
 readControlTraceFile(const std::string &path)
 {
@@ -671,16 +310,6 @@ readControlTraceFile(const std::string &path)
     if (!err.empty())
         fatal("%s", err.c_str());
     return trace;
-}
-
-LoopEventRecording
-readRecordingFile(const std::string &path)
-{
-    LoopEventRecording rec;
-    std::string err = loadRecordingFile(path, &rec);
-    if (!err.empty())
-        fatal("%s", err.c_str());
-    return rec;
 }
 
 } // namespace loopspec

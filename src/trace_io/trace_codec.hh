@@ -1,6 +1,6 @@
 /**
  * @file
- * Encoders/decoders between the in-memory trace structures and container
+ * Encoder/decoder between the in-memory ControlTrace and container
  * section payloads (docs/TRACE_FORMAT.md), plus whole-file helpers.
  *
  * Section payload layouts (all little-endian):
@@ -11,27 +11,18 @@
  *   CtrlTransfers varint, per item: dseq uvarint (first item: absolute
  *     seq; later items: seq delta, >= 1 enforced), pc uvarint,
  *     svarint zigzag(target - pc), flags u8 = kind | taken << 3.
- *   RecMeta (raw, 24 B): totalInstrs u64, numExecs u64,
- *     numLoopEvents u64.
- *   RecExecs raw (12 B/item): branchAddr u32, parentExecId u64;
- *     varint: both as uvarints. One item per ExecStart event, in
- *     order — only the fields not derivable from the event stream.
- *   RecLoopEvents raw (30 B/item): pos u64, execId u64, loop u32,
- *     aux u32, depth u32, kind u8, reason u8; varint: svarint dpos,
- *     svarint dexecId, loop/aux/depth uvarints, kr u8 =
- *     kind | reason << 3.
- *   RecIterDataOk (same layout under either encoding label), per exec:
- *     count uvarint, then ceil(count/8) bytes of LSB-first flags.
- *     Section present only when some exec carries §4 annotations.
  *
- * Decoders validate as they go — monotone transfer seq below
- * totalInstrs, in-range kinds/reasons, exact section consumption, item
- * counts against the section table and meta — so a CRC-valid but
- * structurally inconsistent file is rejected with a diagnostic rather
- * than replayed into plausible-but-wrong results. The incremental
- * record decoders are shared between whole-buffer decode and the
- * chunked streaming reader, which makes the two paths agree by
- * construction.
+ * Loop-event recordings have no on-disk form: the detector reads only
+ * the control-transfer stream, so a recording at any CLS size is
+ * re-derived from the control trace by replay.
+ *
+ * The decoder validates as it goes — monotone transfer seq below
+ * totalInstrs, in-range kinds, exact section consumption, item counts
+ * against the section table and meta — so a CRC-valid but structurally
+ * inconsistent file is rejected with a diagnostic rather than replayed
+ * into plausible-but-wrong results. The incremental record decoder is
+ * shared between whole-buffer decode and the chunked streaming reader,
+ * which makes the two paths agree by construction.
  */
 
 #ifndef LOOPSPEC_TRACE_IO_TRACE_CODEC_HH
@@ -41,22 +32,18 @@
 #include <string>
 #include <vector>
 
-#include "speculation/event_record.hh"
 #include "trace_io/container.hh"
 #include "tracegen/control_trace.hh"
 
 namespace loopspec
 {
 
-/** Container file extensions (what traceDirWorkloads() scans for). */
+/** Container file extension (what traceDirWorkloads() scans for). */
 constexpr char kControlTraceExt[] = ".lstrace";
-constexpr char kRecordingExt[] = ".lsrec";
 
-/** Upper bounds on one encoded record, either encoding — how many
+/** Upper bound on one encoded transfer, either encoding — how many
  *  buffered bytes guarantee that a partial decode means truncation. */
 constexpr size_t kMaxCtrlRecordBytes = 26;
-constexpr size_t kMaxEventRecordBytes = 36;
-constexpr size_t kMaxExecRecordBytes = 15;
 
 /**
  * Incremental CtrlTransfer decoder (stateful: previous seq). next()
@@ -83,57 +70,16 @@ class CtrlTransferDecoder
     std::string err;
 };
 
-/** Incremental LoopEventRec decoder; same contract as above. */
-class LoopEventDecoder
-{
-  public:
-    explicit LoopEventDecoder(TraceEncoding enc) : enc(enc) {}
-
-    int next(const uint8_t **p, const uint8_t *end, LoopEventRec *out);
-    const std::string &error() const { return err; }
-
-  private:
-    TraceEncoding enc;
-    uint64_t prevPos = 0;
-    uint64_t prevExec = 0;
-    std::string err;
-};
-
-/** Incremental RecExecs-sidecar decoder; same contract as above. */
-class ExecSidecarDecoder
-{
-  public:
-    explicit ExecSidecarDecoder(TraceEncoding enc) : enc(enc) {}
-
-    int next(const uint8_t **p, const uint8_t *end,
-             uint32_t *branch_addr, uint64_t *parent_exec_id);
-    const std::string &error() const { return err; }
-
-  private:
-    TraceEncoding enc;
-    std::string err;
-};
-
 // ------------------------------------------------- whole-object codecs
 
 /** Encode @p trace as a complete container byte image. */
 std::vector<uint8_t> encodeControlTrace(const ControlTrace &trace,
                                         TraceEncoding enc);
 
-/** Encode @p rec as a complete container byte image. */
-std::vector<uint8_t> encodeRecording(const LoopEventRecording &rec,
-                                     TraceEncoding enc);
-
 /** Decode a container image into @p out (validates everything,
  *  including payload CRCs). Returns "" on success. */
 std::string decodeControlTrace(const uint8_t *data, size_t size,
                                ControlTrace *out);
-
-/** Decode a recording container into @p out: rebuilds ExecRecords from
- *  the event stream + sidecar and re-derives the SimEvent view via
- *  deriveRecordingEvents(). Returns "" on success. */
-std::string decodeRecording(const uint8_t *data, size_t size,
-                            LoopEventRecording *out);
 
 // --------------------------------------------------------- file helpers
 
@@ -148,18 +94,13 @@ std::vector<std::string> traceDirWorkloads(const std::string &dir);
 /** Encode + write; fatal() on I/O failure. */
 void writeControlTraceFile(const std::string &path,
                            const ControlTrace &trace, TraceEncoding enc);
-void writeRecordingFile(const std::string &path,
-                        const LoopEventRecording &rec, TraceEncoding enc);
 
 /** Read + decode, returning "" on success (tests, fuzz oracle). */
 std::string loadControlTraceFile(const std::string &path,
                                  ControlTrace *out);
-std::string loadRecordingFile(const std::string &path,
-                              LoopEventRecording *out);
 
 /** Read + decode; fatal() with the diagnostic on any error. */
 ControlTrace readControlTraceFile(const std::string &path);
-LoopEventRecording readRecordingFile(const std::string &path);
 
 } // namespace loopspec
 

@@ -1,71 +1,9 @@
 #include "tracegen/control_trace.hh"
 
-#include <istream>
-#include <ostream>
-
 #include "util/logging.hh"
 
 namespace loopspec
 {
-
-namespace
-{
-
-constexpr uint64_t controlTraceMagic = 0x4c53435452303176ull; // "LSCTR01v"
-
-template <typename T>
-void
-writePod(std::ostream &os, const T &value)
-{
-    os.write(reinterpret_cast<const char *>(&value), sizeof(T));
-}
-
-template <typename T>
-T
-readPod(std::istream &is)
-{
-    T value{};
-    is.read(reinterpret_cast<char *>(&value), sizeof(T));
-    if (!is)
-        fatal("control trace stream truncated");
-    return value;
-}
-
-} // namespace
-
-void
-ControlTrace::save(std::ostream &os) const
-{
-    writePod(os, controlTraceMagic);
-    writePod(os, totalInstrs);
-    writePod(os, static_cast<uint64_t>(transfers.size()));
-    for (const auto &t : transfers) {
-        writePod(os, t.seq);
-        writePod(os, t.pc);
-        writePod(os, t.target);
-        writePod(os, static_cast<uint8_t>(t.kind));
-        writePod(os, static_cast<uint8_t>(t.taken));
-    }
-}
-
-ControlTrace
-ControlTrace::load(std::istream &is)
-{
-    if (readPod<uint64_t>(is) != controlTraceMagic)
-        fatal("not a loopspec control trace (bad magic)");
-    ControlTrace trace;
-    trace.totalInstrs = readPod<uint64_t>(is);
-    uint64_t n = readPod<uint64_t>(is);
-    trace.transfers.resize(n);
-    for (auto &t : trace.transfers) {
-        t.seq = readPod<uint64_t>(is);
-        t.pc = readPod<uint32_t>(is);
-        t.target = readPod<uint32_t>(is);
-        t.kind = static_cast<CtrlKind>(readPod<uint8_t>(is));
-        t.taken = readPod<uint8_t>(is) != 0;
-    }
-    return trace;
-}
 
 void
 ControlTraceRecorder::onInstr(const DynInstr &d)
@@ -213,6 +151,26 @@ replayControlTrace(const ControlTrace &trace, TraceObserver &observer,
         if (!synth.feed(t))
             break;
     return synth.finish();
+}
+
+std::string
+compareControlTraces(const ControlTrace &a, const ControlTrace &b)
+{
+    if (a.totalInstrs != b.totalInstrs)
+        return strprintf("totalInstrs %llu vs %llu",
+                         static_cast<unsigned long long>(a.totalInstrs),
+                         static_cast<unsigned long long>(b.totalInstrs));
+    if (a.transfers.size() != b.transfers.size())
+        return strprintf("%zu transfers vs %zu", a.transfers.size(),
+                         b.transfers.size());
+    for (size_t i = 0; i < a.transfers.size(); ++i) {
+        const CtrlTransfer &x = a.transfers[i];
+        const CtrlTransfer &y = b.transfers[i];
+        if (x.seq != y.seq || x.pc != y.pc || x.target != y.target ||
+            x.kind != y.kind || x.taken != y.taken)
+            return strprintf("transfer %zu differs", i);
+    }
+    return {};
 }
 
 } // namespace loopspec

@@ -21,7 +21,7 @@
 #define LOOPSPEC_TRACEGEN_CONTROL_TRACE_HH
 
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "tracegen/dyn_instr.hh"
@@ -52,12 +52,6 @@ struct ControlTrace
     {
         return transfers.capacity() * sizeof(CtrlTransfer);
     }
-
-    /** Serialise to a stream (simple binary format, versioned). */
-    void save(std::ostream &os) const;
-
-    /** Load a trace saved by save(); fatal() on format errors. */
-    static ControlTrace load(std::istream &is);
 };
 
 /**
@@ -159,6 +153,15 @@ uint64_t replayControlTrace(const ControlTrace &trace,
                             TraceObserver &observer,
                             uint64_t max_instrs = 0,
                             size_t batch_instrs = 4096);
+
+/**
+ * Field-by-field comparison of two control traces: "" when identical,
+ * else a one-line description of the first difference. The oracle
+ * behind every container round trip (trace_convert verify, the fuzz
+ * disk stage, the format tests).
+ */
+std::string compareControlTraces(const ControlTrace &a,
+                                 const ControlTrace &b);
 
 } // namespace loopspec
 

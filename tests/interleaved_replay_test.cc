@@ -1,12 +1,12 @@
 /**
  * @file
- * Equivalence tests for interleaved multi-recording replay
+ * Equivalence tests for interleaved multi-trace replay
  * (src/trace_io/replay_source.hh): round-robin chunk scheduling across N
  * independent replay sources must be a pure scheduling change — every
  * source observes the bit-identical stream its sequential counterpart
  * delivers, for in-memory control traces, out-of-core streamed
- * containers, loop-event recordings, truncation windows, and failure
- * paths. Registered under the "replay" ctest label (not "quick").
+ * containers, truncation windows, and failure paths. Registered under
+ * the "replay" ctest label (not "quick").
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "loop/loop_detector.hh"
 #include "loop/loop_stats.hh"
 #include "speculation/event_record.hh"
-#include "tables/hit_ratio.hh"
 #include "trace_io/replay_source.hh"
 #include "trace_io/stream_reader.hh"
 #include "trace_io/trace_codec.hh"
@@ -242,43 +241,6 @@ TEST(InterleavedReplay, CorruptStreamFailsButDrainsHealthySources)
     EXPECT_EQ(compareRecordings(sequentialReference(trace, 16),
                                 good.rec.take()),
               "");
-}
-
-TEST(InterleavedReplay, EventRecordingSourcesMatchReplayLoopEvents)
-{
-    // Loop-event-level sources: meter banks fed by interleaved pumps
-    // must equal plain replayLoopEvents over the same recording.
-    Program p = buildWorkload("compress", {kScale});
-    TraceEngine engine(p);
-    LoopDetector det({16});
-    LoopEventRecorder rec;
-    det.addListener(&rec);
-    engine.addObserver(&det);
-    engine.run();
-    LoopEventRecording recording = rec.take();
-    ASSERT_FALSE(recording.loopEvents.empty());
-
-    const auto meterPass = [&](std::vector<LoopListener *> listeners,
-                               bool interleaved) {
-        if (!interleaved) {
-            replayLoopEvents(recording, listeners);
-            return;
-        }
-        EventRecordingSource a(recording, listeners);
-        // A second, independent consumer set sharing the round-robin.
-        LoopEventRecorder rerec;
-        EventRecordingSource b(recording, {&rerec});
-        EXPECT_EQ(interleaveReplay({&a, &b}, 700), "");
-        EXPECT_EQ(compareRecordings(recording, rerec.take()), "");
-    };
-    LetHitMeter seqLet(4), ilvLet(4);
-    LitHitMeter seqLit(4), ilvLit(4);
-    meterPass({&seqLet, &seqLit}, false);
-    meterPass({&ilvLet, &ilvLit}, true);
-    EXPECT_EQ(ilvLet.result().accesses, seqLet.result().accesses);
-    EXPECT_EQ(ilvLet.result().hits, seqLet.result().hits);
-    EXPECT_EQ(ilvLit.result().accesses, seqLit.result().accesses);
-    EXPECT_EQ(ilvLit.result().hits, seqLit.result().hits);
 }
 
 } // namespace

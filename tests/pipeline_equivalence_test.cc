@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -583,24 +582,6 @@ TEST(ControlReplay, PrefixTruncationMatchesDirectTruncatedRun)
     EXPECT_EQ(ideal.tpc(), direct.idealTpc);
 }
 
-TEST(ControlReplay, SaveLoadRoundTrip)
-{
-    Program p = buildWorkload("li", {kScale});
-    auto [trace, rec] = recordOnce(p, 16);
-    std::stringstream ss;
-    trace.save(ss);
-    ControlTrace back = ControlTrace::load(ss);
-    EXPECT_EQ(back.totalInstrs, trace.totalInstrs);
-    ASSERT_EQ(back.transfers.size(), trace.transfers.size());
-    for (size_t i = 0; i < trace.transfers.size(); ++i) {
-        EXPECT_EQ(back.transfers[i].seq, trace.transfers[i].seq);
-        EXPECT_EQ(back.transfers[i].pc, trace.transfers[i].pc);
-        EXPECT_EQ(back.transfers[i].target, trace.transfers[i].target);
-        EXPECT_EQ(back.transfers[i].kind, trace.transfers[i].kind);
-        EXPECT_EQ(back.transfers[i].taken, trace.transfers[i].taken);
-    }
-}
-
 TEST(ControlReplayDeathTest, FullRecordsObserverIsRejected)
 {
     // A control trace has no operand values to fill cold planes from:
@@ -664,31 +645,6 @@ TEST(LoopEventReplay, NestAwareMetersMatchLiveRun)
     EXPECT_EQ(repLet.result().hits, liveLet.result().hits);
     EXPECT_EQ(repLit.result().accesses, liveLit.result().accesses);
     EXPECT_EQ(repLit.result().hits, liveLit.result().hits);
-}
-
-TEST(LoopEventReplay, RecordingRoundTripPreservesLoopEvents)
-{
-    Program p = buildWorkload("compress", {kScale});
-    auto [trace, rec] = recordOnce(p, 16);
-    ASSERT_FALSE(rec.loopEvents.empty());
-    std::stringstream ss;
-    rec.save(ss);
-    LoopEventRecording back = LoopEventRecording::load(ss);
-    ASSERT_EQ(back.loopEvents.size(), rec.loopEvents.size());
-    for (size_t i = 0; i < rec.loopEvents.size(); ++i) {
-        EXPECT_EQ(back.loopEvents[i].pos, rec.loopEvents[i].pos);
-        EXPECT_EQ(back.loopEvents[i].execId, rec.loopEvents[i].execId);
-        EXPECT_EQ(back.loopEvents[i].loop, rec.loopEvents[i].loop);
-        EXPECT_EQ(back.loopEvents[i].aux, rec.loopEvents[i].aux);
-        EXPECT_EQ(back.loopEvents[i].depth, rec.loopEvents[i].depth);
-        EXPECT_EQ(static_cast<int>(back.loopEvents[i].kind),
-                  static_cast<int>(rec.loopEvents[i].kind));
-    }
-    ASSERT_EQ(back.execs.size(), rec.execs.size());
-    for (size_t i = 0; i < rec.execs.size(); ++i) {
-        EXPECT_EQ(back.execs[i].branchAddr, rec.execs[i].branchAddr);
-        EXPECT_EQ(back.execs[i].parentExecId, rec.execs[i].parentExecId);
-    }
 }
 
 // ------------------------------------------------------------------
@@ -808,47 +764,6 @@ TEST(StreamingReplay, MidStreamPrefixCutsMatchTruncatedInMemoryReplay)
                 });
             EXPECT_EQ(compareRecordings(mem, via_stream), "");
         }
-    }
-}
-
-TEST(StreamingReplay, EventStreamMatchesInMemoryLoopEventReplay)
-{
-    Program p = buildWorkload("li", {kScale});
-    auto [trace, rec] = recordOnce(p, 8);
-    ASSERT_FALSE(rec.loopEvents.empty());
-
-    for (TraceEncoding enc :
-         {TraceEncoding::Raw, TraceEncoding::Varint}) {
-        SCOPED_TRACE(enc == TraceEncoding::Raw ? "raw" : "varint");
-        std::string path = traceFilePath(
-            ::testing::TempDir(),
-            enc == TraceEncoding::Raw ? "stream_eq_rec_raw"
-                                      : "stream_eq_rec_vz",
-            kRecordingExt);
-        writeRecordingFile(path, rec, enc);
-
-        // In-memory reference: meters + a re-recording.
-        LetHitMeter memLet(4);
-        LitHitMeter memLit(4);
-        LoopEventRecorder memRec;
-        replayLoopEvents(rec, {&memLet, &memLit, &memRec});
-
-        std::string err;
-        StreamConfig scfg;
-        scfg.chunkBytes = 256;
-        auto streamer = TraceFileStreamer::open(path, scfg, &err);
-        ASSERT_TRUE(streamer) << err;
-        LetHitMeter strLet(4);
-        LitHitMeter strLit(4);
-        LoopEventRecorder strRec;
-        err = streamer->replayEvents({&strLet, &strLit, &strRec});
-        ASSERT_TRUE(err.empty()) << err;
-
-        EXPECT_EQ(compareRecordings(memRec.take(), strRec.take()), "");
-        EXPECT_EQ(strLet.result().accesses, memLet.result().accesses);
-        EXPECT_EQ(strLet.result().hits, memLet.result().hits);
-        EXPECT_EQ(strLit.result().accesses, memLit.result().accesses);
-        EXPECT_EQ(strLit.result().hits, memLit.result().hits);
     }
 }
 

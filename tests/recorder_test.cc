@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "speculation/event_record.hh"
 #include "tests/test_util.hh"
@@ -124,38 +123,6 @@ TEST(Recorder, TruncatedTraceClampsBoundaries)
         EXPECT_LE(e.boundary, 50u);
     ASSERT_EQ(r.execs.size(), 1u);
     EXPECT_EQ(r.execs[0].endReason, ExecEndReason::TraceEnd);
-}
-
-TEST(Recorder, SaveLoadRoundTrip)
-{
-    LoopEventRecording rec = record(simpleLoop(7, 3));
-    std::stringstream ss;
-    rec.save(ss);
-    LoopEventRecording back = LoopEventRecording::load(ss);
-    EXPECT_EQ(back.totalInstrs, rec.totalInstrs);
-    ASSERT_EQ(back.execs.size(), rec.execs.size());
-    ASSERT_EQ(back.events.size(), rec.events.size());
-    for (size_t i = 0; i < rec.execs.size(); ++i) {
-        EXPECT_EQ(back.execs[i].execId, rec.execs[i].execId);
-        EXPECT_EQ(back.execs[i].loop, rec.execs[i].loop);
-        EXPECT_EQ(back.execs[i].iterCount, rec.execs[i].iterCount);
-        EXPECT_EQ(back.execs[i].endBoundary, rec.execs[i].endBoundary);
-        EXPECT_EQ(back.execs[i].iterBoundaries,
-                  rec.execs[i].iterBoundaries);
-    }
-    for (size_t i = 0; i < rec.events.size(); ++i) {
-        EXPECT_EQ(back.events[i].boundary, rec.events[i].boundary);
-        EXPECT_EQ(back.events[i].execIdx, rec.events[i].execIdx);
-        EXPECT_EQ(static_cast<int>(back.events[i].kind),
-                  static_cast<int>(rec.events[i].kind));
-    }
-}
-
-TEST(Recorder, LoadRejectsGarbage)
-{
-    std::stringstream ss;
-    ss << "this is not a recording at all, not even close to one";
-    EXPECT_DEATH(LoopEventRecording::load(ss), "magic");
 }
 
 } // namespace

@@ -186,7 +186,7 @@ TEST(RunOptions, SelectedScansTraceDirForContainers)
     // Stems of *.lstrace files, sorted; other files are ignored.
     writeFileBytes(traceFilePath(dir, "zeta", kControlTraceExt), {1});
     writeFileBytes(traceFilePath(dir, "alpha", kControlTraceExt), {1});
-    writeFileBytes(traceFilePath(dir, "alpha", kRecordingExt), {1});
+    writeFileBytes(traceFilePath(dir, "alpha", ".lsrec"), {1});
 
     RunOptions opts;
     opts.traceDir = dir;

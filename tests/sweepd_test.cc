@@ -98,8 +98,6 @@ TEST(RecordingCacheKeys, StableAndFullyDiscriminating)
                                                  "traces/", 16));
     EXPECT_NE(base,
               RecordingCache::recordingKey("swim", 0.5, 1000, "run", 8));
-    // Trace keys live in a separate namespace from recording keys.
-    EXPECT_NE(RecordingCache::traceKey("swim", 0.5, 1000, "run"), base);
 
     // The scale is addressed by its exact bit pattern, not its decimal
     // rendering: two factors that print identically at default
@@ -107,8 +105,8 @@ TEST(RecordingCacheKeys, StableAndFullyDiscriminating)
     const double a = 0.1;
     const double b = 0.1 + 1e-17; // same printf("%g") text, different bits
     if (a != b) {
-        EXPECT_NE(RecordingCache::traceKey("swim", a, 0, "run"),
-                  RecordingCache::traceKey("swim", b, 0, "run"));
+        EXPECT_NE(RecordingCache::recordingKey("swim", a, 0, "run", 16),
+                  RecordingCache::recordingKey("swim", b, 0, "run", 16));
     }
 }
 
@@ -371,6 +369,9 @@ TEST(SweepServiceValidation, RejectsBadRemoteInputWithDiagnostics)
     EXPECT_NE(err(bad), "");
     bad = req;
     bad.grid = "nonsense";
+    EXPECT_NE(err(bad), "");
+    bad = req;
+    bad.grid = "ideal=1,0"; // a row switch, not a list
     EXPECT_NE(err(bad), "");
     bad = req;
     bad.traceDir = "/not/served"; // server runs without a trace dir

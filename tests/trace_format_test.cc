@@ -17,13 +17,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "harness/runner.hh"
 #include "loop/loop_detector.hh"
 #include "loop/loop_stats.hh"
-#include "speculation/event_record.hh"
 #include "tests/test_util.hh"
 #include "trace_io/container.hh"
 #include "trace_io/crc32.hh"
@@ -49,44 +49,33 @@ readGolden(const std::string &name)
     return bytes;
 }
 
-/** The corpus generator: nestedLoops(3, 4, 1) traced at CLS 8. */
+/** Fresh per-process subdirectory under the gtest temp dir: ctest runs
+ *  this binary twice at once (per-test and as trace_format_suite_io), and
+ *  both exports would otherwise write the same file. */
+std::string
+freshTraceDir(const std::string &tag)
+{
+    std::string dir = ::testing::TempDir() + "trace_format_" + tag + "_" +
+                      std::to_string(::getpid());
+    ::mkdir(dir.c_str(), 0755);
+    return dir;
+}
+
+/** The corpus generator: the control trace of nestedLoops(3, 4, 1). */
 struct GoldenSource
 {
     ControlTrace trace;
-    LoopEventRecording recording;
 
     GoldenSource()
     {
         Program prog = test::nestedLoops(3, 4, 1);
         TraceEngine engine(prog, {});
-        LoopDetector det({8});
-        LoopEventRecorder rec;
         ControlTraceRecorder ctr;
-        det.addListener(&rec);
-        engine.addObserver(&det);
         engine.addObserver(&ctr);
         engine.run();
         trace = ctr.take();
-        recording = rec.take();
     }
 };
-
-std::string
-compareControlTraces(const ControlTrace &a, const ControlTrace &b)
-{
-    if (a.totalInstrs != b.totalInstrs)
-        return "totalInstrs differs";
-    if (a.transfers.size() != b.transfers.size())
-        return "transfer count differs";
-    for (size_t i = 0; i < a.transfers.size(); ++i) {
-        const CtrlTransfer &x = a.transfers[i];
-        const CtrlTransfer &y = b.transfers[i];
-        if (x.seq != y.seq || x.pc != y.pc || x.target != y.target ||
-            x.kind != y.kind || x.taken != y.taken)
-            return "transfer " + std::to_string(i) + " differs";
-    }
-    return "";
-}
 
 // ------------------------------------------------------ golden pinning
 
@@ -97,15 +86,6 @@ TEST(TraceFormatGolden, ControlTraceBytesAreStable)
               readGolden("golden_nest.raw.lstrace"));
     EXPECT_EQ(encodeControlTrace(src.trace, TraceEncoding::Varint),
               readGolden("golden_nest.vz.lstrace"));
-}
-
-TEST(TraceFormatGolden, RecordingBytesAreStable)
-{
-    GoldenSource src;
-    EXPECT_EQ(encodeRecording(src.recording, TraceEncoding::Raw),
-              readGolden("golden_nest.raw.lsrec"));
-    EXPECT_EQ(encodeRecording(src.recording, TraceEncoding::Varint),
-              readGolden("golden_nest.vz.lsrec"));
 }
 
 TEST(TraceFormatGolden, GoldenFilesDecodeToTheSourceStructures)
@@ -119,14 +99,6 @@ TEST(TraceFormatGolden, GoldenFilesDecodeToTheSourceStructures)
                   "")
             << name;
         EXPECT_EQ(compareControlTraces(src.trace, back), "") << name;
-    }
-    for (const char *name :
-         {"golden_nest.raw.lsrec", "golden_nest.vz.lsrec"}) {
-        std::vector<uint8_t> image = readGolden(name);
-        LoopEventRecording back;
-        ASSERT_EQ(decodeRecording(image.data(), image.size(), &back), "")
-            << name;
-        EXPECT_EQ(compareRecordings(src.recording, back), "") << name;
     }
 }
 
@@ -175,21 +147,15 @@ TEST(TraceFormatHeader, ByteLayoutIsPinnedLittleEndian)
     EXPECT_EQ(getLe(s0 + 16, 8), 16u); // totalInstrs u64 + numTransfers u64
 }
 
-TEST(TraceFormatHeader, RecordingContentKindIsPinned)
-{
-    std::vector<uint8_t> image = readGolden("golden_nest.raw.lsrec");
-    EXPECT_EQ(getLe(image.data() + 12, 4),
-              static_cast<uint32_t>(TraceContent::LoopEventRecording));
-}
-
 // ------------------------------------------------------ version policy
 
-/** Patch a header field and re-seal the header CRC so only the version
- *  check — not the CRC check — can reject the image. */
+/** Patch a header field and re-seal the header CRC so only the field's
+ *  own check — not the CRC check — can reject the image. */
 std::vector<uint8_t>
-withHeaderField(std::vector<uint8_t> image, size_t offset, uint16_t value)
+withHeaderField(std::vector<uint8_t> image, size_t offset, uint32_t value,
+                unsigned bytes = 2)
 {
-    storeLe(image.data() + offset, value, 2);
+    storeLe(image.data() + offset, value, bytes);
     storeLe(image.data() + 28, crc32(image.data(), 28), 4);
     return image;
 }
@@ -220,12 +186,69 @@ TEST(TraceFormatVersion, DifferentMajorVersionIsRefused)
 
 TEST(TraceFormatVersion, WrongContentKindIsRefused)
 {
-    std::vector<uint8_t> image = readGolden("golden_nest.raw.lstrace");
-    LoopEventRecording out;
-    std::string err = decodeRecording(image.data(), image.size(), &out);
-    EXPECT_NE(err.find("expected a loop-event recording"),
-              std::string::npos)
-        << err;
+    // Kind 2 (the retired loop-event recording) is refused by every
+    // reader, with only the header CRC re-sealed so that the content
+    // check itself must do the refusing.
+    std::vector<uint8_t> image = withHeaderField(
+        readGolden("golden_nest.raw.lstrace"), 12, 2, 4);
+    ControlTrace out;
+    std::string err = decodeControlTrace(image.data(), image.size(), &out);
+    EXPECT_NE(err.find("content kind 2"), std::string::npos) << err;
+
+    std::string path = traceFilePath(freshTraceDir("content_kind"),
+                                     "kind2", kControlTraceExt);
+    writeFileBytes(path, image);
+    err.clear();
+    EXPECT_EQ(MappedTraceFile::open(path, &err), nullptr);
+    EXPECT_NE(err.find("content kind 2"), std::string::npos) << err;
+    err.clear();
+    EXPECT_EQ(TraceFileStreamer::open(path, {}, &err), nullptr);
+    EXPECT_NE(err.find("content kind 2"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
+TEST(TraceFormatVersion, RetiredRecordingSectionKindsAreRefused)
+{
+    // Section kinds 3-6 belonged to the retired recording content. A
+    // control trace that carries one beside its own two sections is
+    // refused by every reader, not skipped.
+    std::vector<uint8_t> golden = readGolden("golden_nest.raw.lstrace");
+    ContainerLayout layout;
+    ASSERT_EQ(parseContainer(golden.data(), golden.size(), &layout), "");
+    std::string dir = freshTraceDir("retired_sections");
+    for (uint32_t kind = 3; kind <= 6; ++kind) {
+        SCOPED_TRACE(kind);
+        TraceFileBuilder builder;
+        for (const SectionDesc &d : layout.sections) {
+            const auto *p = golden.data() + d.offset;
+            builder.addSection(static_cast<SectionKind>(d.kind),
+                               static_cast<TraceEncoding>(d.encoding),
+                               d.itemCount,
+                               std::vector<uint8_t>(p, p + d.byteSize));
+        }
+        builder.addSection(static_cast<SectionKind>(kind),
+                           TraceEncoding::Raw, 0, {});
+        std::vector<uint8_t> image = builder.finish();
+
+        ControlTrace out;
+        std::string err =
+            decodeControlTrace(image.data(), image.size(), &out);
+        EXPECT_NE(err.find("unexpected section kind"), std::string::npos)
+            << err;
+
+        std::string path = traceFilePath(
+            dir, "kind" + std::to_string(kind), kControlTraceExt);
+        writeFileBytes(path, image);
+        err.clear();
+        EXPECT_EQ(MappedTraceFile::open(path, &err), nullptr);
+        EXPECT_NE(err.find("unexpected section kind"), std::string::npos)
+            << err;
+        err.clear();
+        EXPECT_EQ(TraceFileStreamer::open(path, {}, &err), nullptr);
+        EXPECT_NE(err.find("unexpected section kind"), std::string::npos)
+            << err;
+        std::remove(path.c_str());
+    }
 }
 
 // ------------------------------------------------- corruption rejection
@@ -251,17 +274,6 @@ TEST(TraceFormatCorruption, EverySingleByteFlipIsRejected)
             bad[i] ^= 0x40;
             ControlTrace out;
             EXPECT_NE(decodeControlTrace(bad.data(), bad.size(), &out), "")
-                << name << " byte " << i;
-        }
-    }
-    for (const char *name :
-         {"golden_nest.vz.lsrec", "golden_nest.raw.lsrec"}) {
-        std::vector<uint8_t> image = readGolden(name);
-        for (size_t i = 0; i < image.size(); ++i) {
-            std::vector<uint8_t> bad = image;
-            bad[i] ^= 0x40;
-            LoopEventRecording out;
-            EXPECT_NE(decodeRecording(bad.data(), bad.size(), &out), "")
                 << name << " byte " << i;
         }
     }
@@ -309,18 +321,6 @@ TEST(TraceFormatStreaming, ZeroChunkBytesIsAnExplicitError)
         TraceFileStreamer::open("/no/such/file.lstrace", config, &err);
     EXPECT_EQ(streamer, nullptr);
     EXPECT_EQ(err, "batchInstrs must be >= 1");
-}
-
-/** Fresh per-process subdirectory under the gtest temp dir: ctest runs
- *  this binary twice at once (per-test and as trace_format_suite_io), and
- *  both exports would otherwise write the same file. */
-std::string
-freshTraceDir(const std::string &tag)
-{
-    std::string dir = ::testing::TempDir() + "trace_format_" + tag + "_" +
-                      std::to_string(::getpid());
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
 }
 
 TEST(TraceFormatStreaming, TinyChunkBytesIsRaisedToDocumentedMinimum)

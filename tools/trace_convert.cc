@@ -3,13 +3,9 @@
  * Binary trace-container utility (docs/TRACE_FORMAT.md):
  *
  *   trace_convert export --out DIR [--benchmarks a,b] [--encoding E]
- *                 [--recordings] [--scale S --cls N --max-instrs M]
+ *                 [--scale S --max-instrs M]
  *       Run each selected workload once and write its control trace as
- *       <DIR>/<name>.lstrace (plus <name>.lsrec with --recordings).
- *
- *   trace_convert import LEGACY --out FILE [--encoding E]
- *       Convert a stream written by the legacy ControlTrace::save() /
- *       LoopEventRecording::save() format into a container.
+ *       <DIR>/<name>.lstrace.
  *
  *   trace_convert inspect FILE...
  *       Print header and section-table metadata (no payload decode).
@@ -19,17 +15,15 @@
  *
  *   trace_convert verify FILE...
  *       Full validation: decode every payload (all CRCs and structural
- *       checks), round-trip through both encodings, and — for control
- *       traces — cross-check the out-of-core streaming replay against
- *       the in-memory replay. Exit 0 only if every file passes.
+ *       checks), round-trip through both encodings, and cross-check the
+ *       out-of-core streaming replay against the in-memory replay. Exit
+ *       0 only if every file passes.
  *
  * --encoding is "raw" (fixed-width, mmap-friendly) or "varint"
  * (delta/varint compressed). All failures are fatal() with a
  * diagnostic; exit status 1.
  */
 
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -37,6 +31,7 @@
 
 #include "harness/runner.hh"
 #include "loop/loop_detector.hh"
+#include "speculation/event_record.hh"
 #include "trace_io/container.hh"
 #include "trace_io/stream_reader.hh"
 #include "trace_io/trace_codec.hh"
@@ -53,62 +48,8 @@ sectionKindName(uint32_t kind)
     switch (static_cast<SectionKind>(kind)) {
       case SectionKind::CtrlMeta: return "CtrlMeta";
       case SectionKind::CtrlTransfers: return "CtrlTransfers";
-      case SectionKind::RecMeta: return "RecMeta";
-      case SectionKind::RecExecs: return "RecExecs";
-      case SectionKind::RecLoopEvents: return "RecLoopEvents";
-      case SectionKind::RecIterDataOk: return "RecIterDataOk";
       default: return "?";
     }
-}
-
-const char *
-contentName(TraceContent content)
-{
-    switch (content) {
-      case TraceContent::ControlTrace: return "control-trace";
-      case TraceContent::LoopEventRecording: return "loop-event-recording";
-      default: return "?";
-    }
-}
-
-/** Sniff a container's content kind without trusting the extension. */
-TraceContent
-fileContent(const std::string &path)
-{
-    std::string err;
-    std::unique_ptr<MappedTraceFile> f = MappedTraceFile::open(path, &err);
-    if (!f)
-        fatal("%s", err.c_str());
-    return f->content();
-}
-
-std::string
-compareControlTraces(const ControlTrace &a, const ControlTrace &b)
-{
-    if (a.totalInstrs != b.totalInstrs)
-        return "totalInstrs differs";
-    if (a.transfers.size() != b.transfers.size())
-        return "transfer count differs";
-    for (size_t i = 0; i < a.transfers.size(); ++i) {
-        const CtrlTransfer &x = a.transfers[i];
-        const CtrlTransfer &y = b.transfers[i];
-        if (x.seq != y.seq || x.pc != y.pc || x.target != y.target ||
-            x.kind != y.kind || x.taken != y.taken)
-            return strprintf("transfer %zu differs", i);
-    }
-    return "";
-}
-
-/** iterDataOk is outside compareRecordings' scope (it comes from the
- *  §4 merge, not from recording) but containers do carry it. */
-std::string
-compareIterDataOk(const LoopEventRecording &a, const LoopEventRecording &b)
-{
-    for (size_t i = 0; i < a.execs.size(); ++i) {
-        if (a.execs[i].iterDataOk != b.execs[i].iterDataOk)
-            return strprintf("exec %zu iterDataOk differs", i);
-    }
-    return "";
 }
 
 // ----------------------------------------------------------- subcommands
@@ -117,8 +58,8 @@ int
 cmdExport(int argc, char **argv)
 {
     std::unique_ptr<CliArgs> args;
-    RunOptions opts = parseRunOptions(
-        argc, argv, {"out", "encoding", "recordings"}, &args);
+    RunOptions opts =
+        parseRunOptions(argc, argv, {"out", "encoding"}, &args);
     if (!opts.traceDir.empty())
         fatal("export runs workloads; --trace-dir makes no sense here");
     std::string dir = args->getString("out", "");
@@ -126,11 +67,9 @@ cmdExport(int argc, char **argv)
         fatal("export needs --out <directory>");
     TraceEncoding enc =
         traceEncodingFromName(args->getString("encoding", "raw"));
-    bool recordings = args->getBool("recordings", false);
 
     CollectFlags flags;
     flags.controlTrace = true;
-    flags.recording = recordings;
     for (const std::string &name : opts.selected()) {
         WorkloadArtifacts art = runWorkload(name, opts, flags);
         std::string path = traceFilePath(dir, name, kControlTraceExt);
@@ -138,49 +77,6 @@ cmdExport(int argc, char **argv)
         std::cout << "wrote " << path << " ("
                   << art.controlTrace.transfers.size() << " transfers, "
                   << art.totalInstrs << " instrs)\n";
-        if (recordings) {
-            std::string rpath = traceFilePath(dir, name, kRecordingExt);
-            writeRecordingFile(rpath, art.recording, enc);
-            std::cout << "wrote " << rpath << " ("
-                      << art.recording.loopEvents.size() << " events)\n";
-        }
-    }
-    return 0;
-}
-
-int
-cmdImport(int argc, char **argv)
-{
-    CliArgs args(argc, argv, {"out", "encoding"});
-    if (args.positionals().size() != 1)
-        fatal("import needs exactly one legacy input file");
-    const std::string &in = args.positionals()[0];
-    std::string out = args.getString("out", "");
-    if (out.empty())
-        fatal("import needs --out <file>");
-    TraceEncoding enc =
-        traceEncodingFromName(args.getString("encoding", "raw"));
-
-    std::ifstream is(in, std::ios::binary);
-    if (!is)
-        fatal("cannot open %s", in.c_str());
-    uint64_t magic = 0;
-    is.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    if (!is)
-        fatal("%s: too short for a legacy trace", in.c_str());
-    is.seekg(0);
-
-    // The two legacy stream formats ("LSCTR01v" / "LSREC02v").
-    if (magic == 0x4c53435452303176ull) {
-        ControlTrace trace = ControlTrace::load(is);
-        writeControlTraceFile(out, trace, enc);
-        std::cout << "imported control trace: " << out << "\n";
-    } else if (magic == 0x4c53524543303276ull) {
-        LoopEventRecording rec = LoopEventRecording::load(is);
-        writeRecordingFile(out, rec, enc);
-        std::cout << "imported recording: " << out << "\n";
-    } else {
-        fatal("%s: not a legacy loopspec trace stream", in.c_str());
     }
     return 0;
 }
@@ -198,8 +94,7 @@ cmdInspect(int argc, char **argv)
         if (!f)
             fatal("%s", err.c_str());
         const ContainerLayout &layout = f->layout();
-        std::cout << path << ": " << contentName(f->content())
-                  << " v" << layout.versionMajor << "."
+        std::cout << path << ": control-trace v" << layout.versionMajor << "."
                   << layout.versionMinor << ", " << f->fileBytes()
                   << " bytes, " << layout.sections.size()
                   << " sections" << (f->isMmapped() ? " (mmap)" : "")
@@ -230,30 +125,21 @@ cmdCompress(int argc, char **argv)
 
     // Decode fully (validates), then re-encode with the target encoding;
     // works in either direction (compress or expand).
-    std::vector<uint8_t> image;
-    std::string err;
-    if (fileContent(in) == TraceContent::ControlTrace) {
-        ControlTrace trace;
-        err = loadControlTraceFile(in, &trace);
-        if (!err.empty())
-            fatal("%s", err.c_str());
-        image = encodeControlTrace(trace, enc);
-    } else {
-        LoopEventRecording rec;
-        err = loadRecordingFile(in, &rec);
-        if (!err.empty())
-            fatal("%s", err.c_str());
-        image = encodeRecording(rec, enc);
-    }
+    std::vector<uint8_t> in_bytes;
+    std::string err = readFileBytes(in, &in_bytes);
+    if (!err.empty())
+        fatal("%s", err.c_str());
+    ControlTrace trace;
+    err = decodeControlTrace(in_bytes.data(), in_bytes.size(), &trace);
+    if (!err.empty())
+        fatal("%s: %s", in.c_str(), err.c_str());
+    std::vector<uint8_t> image = encodeControlTrace(trace, enc);
     writeFileBytes(out, image);
 
-    std::string dummy;
-    std::unique_ptr<MappedTraceFile> src =
-        MappedTraceFile::open(in, &dummy);
-    double ratio = src && src->fileBytes()
-                       ? static_cast<double>(image.size()) /
-                             static_cast<double>(src->fileBytes())
-                       : 0.0;
+    double ratio = in_bytes.empty()
+                       ? 0.0
+                       : static_cast<double>(image.size()) /
+                             static_cast<double>(in_bytes.size());
     std::cout << "wrote " << out << " (" << image.size() << " bytes, "
               << ratio << "x of input)\n";
     return 0;
@@ -263,63 +149,42 @@ cmdCompress(int argc, char **argv)
 void
 verifyFile(const std::string &path)
 {
-    if (fileContent(path) == TraceContent::ControlTrace) {
-        ControlTrace trace;
-        std::string err = loadControlTraceFile(path, &trace);
-        if (!err.empty())
-            fatal("%s", err.c_str());
+    ControlTrace trace;
+    std::string err = loadControlTraceFile(path, &trace);
+    if (!err.empty())
+        fatal("%s", err.c_str());
 
-        // Round-trip through both encodings must be lossless.
-        for (TraceEncoding enc :
-             {TraceEncoding::Raw, TraceEncoding::Varint}) {
-            std::vector<uint8_t> image = encodeControlTrace(trace, enc);
-            ControlTrace back;
-            err = decodeControlTrace(image.data(), image.size(), &back);
-            if (err.empty())
-                err = compareControlTraces(trace, back);
-            if (!err.empty())
-                fatal("%s: %s round trip: %s", path.c_str(),
-                      traceEncodingName(enc), err.c_str());
-        }
-
-        // Streaming replay must match the in-memory replay exactly.
-        std::unique_ptr<TraceFileStreamer> streamer =
-            TraceFileStreamer::open(path, StreamConfig{}, &err);
-        if (!streamer)
-            fatal("%s", err.c_str());
-        LoopDetector streamDet({16});
-        LoopEventRecorder streamRec;
-        streamDet.addListener(&streamRec);
-        err = streamer->replayControl(streamDet);
+    // Round-trip through both encodings must be lossless.
+    for (TraceEncoding enc : {TraceEncoding::Raw, TraceEncoding::Varint}) {
+        std::vector<uint8_t> image = encodeControlTrace(trace, enc);
+        ControlTrace back;
+        err = decodeControlTrace(image.data(), image.size(), &back);
+        if (err.empty())
+            err = compareControlTraces(trace, back);
         if (!err.empty())
-            fatal("%s", err.c_str());
-        LoopDetector memDet({16});
-        LoopEventRecorder memRec;
-        memDet.addListener(&memRec);
-        replayControlTrace(trace, memDet);
-        err = compareRecordings(memRec.take(), streamRec.take());
-        if (!err.empty())
-            fatal("%s: streaming vs in-memory replay: %s", path.c_str(),
-                  err.c_str());
-    } else {
-        LoopEventRecording rec;
-        std::string err = loadRecordingFile(path, &rec);
-        if (!err.empty())
-            fatal("%s", err.c_str());
-        for (TraceEncoding enc :
-             {TraceEncoding::Raw, TraceEncoding::Varint}) {
-            std::vector<uint8_t> image = encodeRecording(rec, enc);
-            LoopEventRecording back;
-            err = decodeRecording(image.data(), image.size(), &back);
-            if (err.empty())
-                err = compareRecordings(rec, back);
-            if (err.empty())
-                err = compareIterDataOk(rec, back);
-            if (!err.empty())
-                fatal("%s: %s round trip: %s", path.c_str(),
-                      traceEncodingName(enc), err.c_str());
-        }
+            fatal("%s: %s round trip: %s", path.c_str(),
+                  traceEncodingName(enc), err.c_str());
     }
+
+    // Streaming replay must match the in-memory replay exactly.
+    std::unique_ptr<TraceFileStreamer> streamer =
+        TraceFileStreamer::open(path, StreamConfig{}, &err);
+    if (!streamer)
+        fatal("%s", err.c_str());
+    LoopDetector streamDet({16});
+    LoopEventRecorder streamRec;
+    streamDet.addListener(&streamRec);
+    err = streamer->replayControl(streamDet);
+    if (!err.empty())
+        fatal("%s", err.c_str());
+    LoopDetector memDet({16});
+    LoopEventRecorder memRec;
+    memDet.addListener(&memRec);
+    replayControlTrace(trace, memDet);
+    err = compareRecordings(memRec.take(), streamRec.take());
+    if (!err.empty())
+        fatal("%s: streaming vs in-memory replay: %s", path.c_str(),
+              err.c_str());
 }
 
 int
@@ -341,8 +206,7 @@ usage()
     std::cerr
         << "usage: trace_convert <command> ...\n"
            "  export   --out DIR [--benchmarks a,b] [--encoding raw|"
-           "varint] [--recordings]\n"
-           "  import   LEGACY --out FILE [--encoding raw|varint]\n"
+           "varint]\n"
            "  inspect  FILE...\n"
            "  compress IN OUT [--encoding raw|varint]\n"
            "  verify   FILE...\n";
@@ -368,8 +232,6 @@ main(int argc, char **argv)
 
     if (cmd == "export")
         return cmdExport(rest_argc, rest_argv);
-    if (cmd == "import")
-        return cmdImport(rest_argc, rest_argv);
     if (cmd == "inspect")
         return cmdInspect(rest_argc, rest_argv);
     if (cmd == "compress")
