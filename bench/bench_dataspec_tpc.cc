@@ -8,8 +8,9 @@
  *
  *   control  - §3 model (data dependences ignored; Figure 6/Table 2)
  *   +live    - live-in register values must be stride-predictable at
- *              spawn or the thread's work is discarded (DataMode::
- *              Profiled, the value-prediction squash)
+ *              spawn or the thread and everything younger are squashed,
+ *              charging the same recovery penalty (DataMode::LiveIns,
+ *              the value-prediction squash)
  *   +mem     - profiled cross-iteration memory conflicts squash the
  *              violating thread and everything younger, charging a
  *              per-violation recovery penalty (DataMode::Conflicts)
@@ -40,7 +41,7 @@ main(int argc, char **argv)
     SweepGrid grid = sweepGridFromOptions(opts);
     grid.policies = {
         {SpecPolicy::Str, 3, DataMode::None, "control"},
-        {SpecPolicy::Str, 3, DataMode::Profiled, "+live"},
+        {SpecPolicy::Str, 3, DataMode::LiveIns, "+live"},
         {SpecPolicy::Str, 3, DataMode::Conflicts, "+mem"},
         {SpecPolicy::Str, 3, DataMode::Full, "+all"}};
     grid.tuCounts = {4};

@@ -218,7 +218,6 @@ DataSpecProfiler::onExecStart(const ExecStartEvent &ev)
     Frame &f = frames[liveFrames++];
     f.execId = ev.execId;
     f.profile = &loops[ev.loop];
-    f.iterOk = nullptr;
     f.iterLrOk = nullptr;
     f.resetIteration();
 }
@@ -298,15 +297,8 @@ DataSpecProfiler::evaluateIteration(Frame &f, uint32_t iter_index)
 
     if (cfg.recordPerIteration && iter_index >= 2) {
         size_t idx = iter_index - 2;
-        if (!f.iterOk) {
-            f.iterOk = &perIter[f.execId];
+        if (!f.iterLrOk)
             f.iterLrOk = &perIterLiveIn[f.execId];
-        }
-        std::vector<bool> &flags = *f.iterOk;
-        if (flags.size() <= idx)
-            flags.resize(idx + 1, false);
-        flags[idx] = all_lr && lm_evaluated && all_lm;
-
         std::vector<bool> &reg_flags = *f.iterLrOk;
         if (reg_flags.size() <= idx)
             reg_flags.resize(idx + 1, false);

@@ -53,10 +53,10 @@ struct DataSpecConfig
     size_t maxPathsPerLoop = 512;
 
     /**
-     * Record a per-iteration all-live-ins-predicted flag, keyed by
-     * (execId, iteration index), for consumption by the data-dependent
-     * thread-speculation model (ThreadSpecSimulator's Profiled data
-     * mode). One bit per detected iteration.
+     * Record a per-iteration all-live-in-registers-predicted flag, keyed
+     * by (execId, iteration index), for consumption by the data-dependent
+     * thread-speculation model (the LiveIns and Full data modes). One
+     * bit per detected iteration.
      */
     bool recordPerIteration = false;
 };
@@ -112,24 +112,14 @@ class DataSpecProfiler : public LoopListener
     const DataSpecReport &report() const { return result; }
 
     /**
-     * Per-execution, per-iteration "all live-in values predicted" flags
-     * (iterations 2..n at indices 0..n-2). Populated only when
+     * Per-execution, per-iteration "all live-in registers predicted"
+     * flags (iterations 2..n at indices 0..n-2). Populated only when
      * DataSpecConfig::recordPerIteration is set. One-step-ahead
      * predictability: the value a stride predictor loaded from the LIT
-     * at the iteration's start would have produced.
-     */
-    const std::unordered_map<uint64_t, std::vector<bool>> &
-    perIterationOk() const
-    {
-        return perIter;
-    }
-
-    /**
-     * Registers-only variant of perIterationOk(): the flag ignores
-     * memory live-ins (and the footprint-overflow exclusion), saying
-     * only whether every live-in *register* of the iteration was stride
-     * predictable. This is what a spawned thread's live-in register
-     * predictor (DataMode::Full) gets right or wrong — memory
+     * at the iteration's start would have produced. Memory live-ins
+     * (and the footprint-overflow exclusion) do not enter the flag:
+     * this is what a spawned thread's live-in register predictor
+     * (DataMode::LiveIns/Full) gets right or wrong, and memory
      * dependences are judged separately by the conflict profiler.
      */
     const std::unordered_map<uint64_t, std::vector<bool>> &
@@ -217,8 +207,7 @@ class DataSpecProfiler : public LoopListener
     {
         uint64_t execId = 0;
         LoopProfile *profile = nullptr;
-        std::vector<bool> *iterOk = nullptr;   //!< perIter[execId]
-        std::vector<bool> *iterLrOk = nullptr; //!< perIterLiveIn[...]
+        std::vector<bool> *iterLrOk = nullptr; //!< perIterLiveIn[execId]
         uint64_t pathHash = 0;
         uint32_t readFirstMask = 0;
         uint32_t writtenMask = 0;
@@ -250,7 +239,6 @@ class DataSpecProfiler : public LoopListener
     size_t liveFrames = 0;
     SpanEffect span;
     std::unordered_map<uint32_t, LoopProfile> loops;
-    std::unordered_map<uint64_t, std::vector<bool>> perIter;
     std::unordered_map<uint64_t, std::vector<bool>> perIterLiveIn;
     DataSpecReport result;
     bool done = false;

@@ -80,9 +80,10 @@ struct CollectFlags
     bool ideal = false;     //!< infinite-TU TPC (plus half-prefix rerun)
     bool recording = false; //!< event recording for the TU simulator
     bool dataSpec = false;  //!< §4 profiler
-    /** Annotate the recording with per-iteration live-in correctness
-     *  (implies recording + dataSpec); enables DataMode::Profiled and,
-     *  with the conflict annotation, DataMode::Full. */
+    /** Annotate the recording with per-iteration live-in register
+     *  correctness (implies recording + dataSpec); enables
+     *  DataMode::LiveIns and, with the conflict annotation,
+     *  DataMode::Full. */
     bool dataCorrectness = false;
     /** Record the memory-access sidecar (dataspec/mem_trace.hh) so the
      *  caller can derive conflict profiles at any CLS; enables

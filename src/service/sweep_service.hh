@@ -10,7 +10,7 @@
  *
  * What the cache keeps is exactly what requests read back: (workload,
  * CLS) recordings with their indexes, and — for grids needing operand
- * values (dataspec / +data / +mem / +all policies) — the operand-derived
+ * values (dataspec / +live / +mem / +all policies) — the operand-derived
  * products: annotated recordings, the memory-access sidecar and the §4
  * report, keyed apart from their plain variants. Control traces are
  * transient: a pass records one only when this request derives further

@@ -10,12 +10,8 @@ void
 mergeDataCorrectness(LoopEventRecording &recording,
                      const DataSpecProfiler &profiler)
 {
-    const auto &flags = profiler.perIterationOk();
     const auto &reg_flags = profiler.perIterationLiveInOk();
     for (auto &x : recording.execs) {
-        auto it = flags.find(x.execId);
-        if (it != flags.end())
-            x.iterDataOk = it->second;
         auto rit = reg_flags.find(x.execId);
         if (rit != reg_flags.end())
             x.iterLiveInOk = rit->second;

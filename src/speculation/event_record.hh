@@ -43,13 +43,6 @@ struct ExecRecord
     std::vector<uint64_t> iterBoundaries;
 
     /**
-     * Optional §4 annotation (mergeDataCorrectness): iterDataOk[j-2]
-     * says whether every live-in value of iteration j was stride
-     * predictable. Empty = not annotated (data assumed correct).
-     */
-    std::vector<bool> iterDataOk;
-
-    /**
      * Optional conflict annotation (annotateConflicts): iterDepSrc[j-2]
      * is the largest iteration index whose store feeds a load of
      * iteration j (0 = none). A thread spawned at front iteration f
@@ -61,8 +54,9 @@ struct ExecRecord
     /**
      * Optional registers-only live-in annotation (mergeDataCorrectness):
      * iterLiveInOk[j-2] says whether every live-in *register* of
-     * iteration j was stride predictable — DataMode::Full's value
-     * misprediction source. Derived.
+     * iteration j was stride predictable — the LiveIns and Full data
+     * modes' misprediction source. Empty = not annotated (those modes
+     * then treat every iteration as mispredicted). Derived.
      */
     std::vector<bool> iterLiveInOk;
 
@@ -139,7 +133,6 @@ struct LoopEventRecording
                        loopEvents.capacity() * sizeof(LoopEventRec);
         for (const ExecRecord &e : execs) {
             bytes += e.iterBoundaries.capacity() * sizeof(uint64_t);
-            bytes += e.iterDataOk.capacity() / 8;
             bytes += e.iterDepSrc.capacity() * sizeof(uint32_t);
             bytes += e.iterLiveInOk.capacity() / 8;
         }
@@ -178,7 +171,7 @@ void replayLoopEvents(const LoopEventRecording &recording,
  * "" when identical, else a one-line description of the first
  * difference. The shared oracle behind the fuzz harness's re-recording
  * check and the sweep engine's --check-replay of derived recordings.
- * Annotations (iterDataOk, iterDepSrc, iterLiveInOk) are not compared —
+ * Annotations (iterDepSrc, iterLiveInOk) are not compared —
  * they come from separate merge steps, not from recording.
  */
 std::string compareRecordings(const LoopEventRecording &a,
@@ -187,11 +180,10 @@ std::string compareRecordings(const LoopEventRecording &a,
 class DataSpecProfiler; // forward: see dataspec/data_profiler.hh
 
 /**
- * Copy the profiler's per-iteration all-live-ins-predicted flags into a
- * recording's ExecRecords (profiler must have run with
- * recordPerIteration over the same trace) — both the combined
- * register+memory flags (iterDataOk, the Profiled mode's source) and
- * the registers-only flags (iterLiveInOk, the Full mode's source).
+ * Copy the profiler's per-iteration all-live-in-registers-predicted
+ * flags into a recording's ExecRecords as iterLiveInOk, the LiveIns and
+ * Full modes' source (profiler must have run with recordPerIteration
+ * over the same trace).
  */
 void mergeDataCorrectness(LoopEventRecording &recording,
                           const DataSpecProfiler &profiler);

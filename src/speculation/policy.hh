@@ -49,20 +49,24 @@ std::string tryParseSpecPolicy(const std::string &text, SpecPolicy *policy,
 
 /**
  * How the simulator treats inter-thread *data* dependences — the paper's
- * §4 follow-up, modelled on top of its §3 control speculation.
+ * §4 follow-up, modelled on top of its §3 control speculation. The two
+ * squash sources are orthogonal: LiveIns checks live-in registers,
+ * Conflicts checks memory, Full checks both (checksLiveIns /
+ * checksConflicts).
  */
 enum class DataMode : uint8_t
 {
     /** §3 model: data dependences ignored (control-only upper bound). */
     None,
     /**
-     * A speculative thread is only useful if every live-in value of its
-     * iteration was stride-predictable (per-iteration flags merged from
-     * the DataSpecProfiler via mergeDataCorrectness); otherwise its work
-     * is discarded at verification and the front re-executes the
-     * iteration — a value misprediction squash.
+     * Live-in register misprediction squashes only: a thread is
+     * squashed when the registers of an iteration between its spawn
+     * point and its own were not stride-predictable
+     * (ExecRecord::iterLiveInOk). Violations cascade and charge
+     * SpecConfig::dataSquashCycles as in Conflicts. Memory is assumed
+     * dependence-free.
      */
-    Profiled,
+    LiveIns,
     /**
      * Memory-dependence violations only (docs/DATASPEC.md): a thread is
      * squashed when its iteration loads an address stored by an
@@ -74,13 +78,26 @@ enum class DataMode : uint8_t
      */
     Conflicts,
     /**
-     * The combined model: Conflicts' memory-violation squashes plus a
-     * live-in register misprediction squash when the spawned
-     * iteration's registers were not stride-predictable at spawn time
-     * (ExecRecord::iterLiveInOk) — the full control+data figure.
+     * The combined model: Conflicts' memory-violation check followed by
+     * LiveIns' register check — the full control+data figure.
      */
     Full,
 };
+
+/** Does @p mode squash on profiled memory conflicts (iterDepSrc)? */
+inline bool
+checksConflicts(DataMode mode)
+{
+    return mode == DataMode::Conflicts || mode == DataMode::Full;
+}
+
+/** Does @p mode squash on live-in register mispredictions
+ *  (iterLiveInOk)? */
+inline bool
+checksLiveIns(DataMode mode)
+{
+    return mode == DataMode::LiveIns || mode == DataMode::Full;
+}
 
 /** Full simulator configuration. */
 struct SpecConfig
@@ -121,8 +138,8 @@ struct SpecConfig
     unsigned spawnConfidenceThreshold = 2;
     /**
      * Recovery penalty charged once per data-violation event (memory
-     * conflict or live-in misprediction) in the Conflicts/Full data
-     * modes — the per-edge misspeculation cost of the LAMP remediation
+     * conflict or live-in misprediction) in every data mode but
+     * None — the per-edge misspeculation cost of the LAMP remediation
      * model. 0 (the default) keeps the squash itself as the only cost,
      * and the simulator bit-identical to the pre-dataspec model when
      * dataMode is None.
@@ -141,7 +158,7 @@ struct SpecStats
     uint64_t threadsSquashed = 0;   //!< squashed (misspeculation or rule)
     uint64_t squashedByNestRule = 0; //!< subset of squashed: STR(i) rule
     uint64_t dataMisses = 0; //!< control-correct threads whose live-in
-                             //!< values mispredicted (Profiled/Full)
+                             //!< registers mispredicted (LiveIns/Full)
     uint64_t conflictSquashes = 0; //!< threads squashed by a profiled
                                    //!< memory-dependence violation
                                    //!< (Conflicts/Full modes)

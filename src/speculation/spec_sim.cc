@@ -94,19 +94,18 @@ RecordingIndex::RecordingIndex(const LoopEventRecording &recording)
 
 ThreadSpecSimulator::ThreadSpecSimulator(
     const LoopEventRecording &recording, SpecConfig config)
-    : rec(recording), cfg(config),
-      ownedIndex(std::make_unique<RecordingIndex>(recording)),
-      idx(ownedIndex.get()), predictor(config.letEntries)
+    : ThreadSpecSimulator(recording,
+                          std::make_unique<RecordingIndex>(recording),
+                          config)
 {
-    LOOPSPEC_ASSERT(cfg.numTUs >= 1, "need at least one TU");
-    LOOPSPEC_ASSERT(cfg.spawnConfidenceBits == 0 ||
-                        (cfg.spawnConfidenceBits <= 8 &&
-                         cfg.spawnConfidenceThreshold >= 1 &&
-                         cfg.spawnConfidenceThreshold <
-                             (1u << cfg.spawnConfidenceBits)),
-                    "bad spawn-confidence configuration");
-    if (cfg.policy == SpecPolicy::Pred)
-        branchPred = makePredictor(cfg.predictor);
+}
+
+ThreadSpecSimulator::ThreadSpecSimulator(
+    const LoopEventRecording &recording,
+    std::unique_ptr<RecordingIndex> owned, SpecConfig config)
+    : ThreadSpecSimulator(recording, *owned, config)
+{
+    ownedIndex = std::move(owned);
 }
 
 ThreadSpecSimulator::ThreadSpecSimulator(
@@ -158,20 +157,6 @@ ThreadSpecSimulator::trainSpawnConf(uint32_t loop, bool good)
 }
 
 bool
-ThreadSpecSimulator::iterDataCorrect(const ExecRecord &exec,
-                                     uint32_t iter_index) const
-{
-    if (cfg.dataMode == DataMode::None)
-        return true;
-    if (iter_index < 2)
-        return false;
-    size_t idx = iter_index - 2;
-    // Un-annotated iterations (no profile data) are conservatively
-    // treated as mispredicted.
-    return idx < exec.iterDataOk.size() && exec.iterDataOk[idx];
-}
-
-bool
 ThreadSpecSimulator::conflictViolates(const ExecRecord &exec,
                                       const SpecThread &t) const
 {
@@ -188,38 +173,33 @@ ThreadSpecSimulator::conflictViolates(const ExecRecord &exec,
     return src != 0 && src >= t.spawnFrontIter;
 }
 
+bool
+ThreadSpecSimulator::liveInViolates(const ExecRecord &exec,
+                                    const SpecThread &t) const
+{
+    // Chained live-in prediction: every iteration between the spawn
+    // point and this thread's got its registers from the predictor, and
+    // iterLiveInOk records one-step-ahead predictability. Un-annotated
+    // iterations are conservatively mispredicted.
+    for (uint32_t i = t.spawnFrontIter + 1; i <= t.iterIndex; ++i) {
+        size_t idx = i - 2; // i >= 3: spawnFrontIter is >= 2
+        if (idx >= exec.iterLiveInOk.size() || !exec.iterLiveInOk[idx])
+            return true;
+    }
+    return false;
+}
+
 ThreadSpecSimulator::DataVerdict
 ThreadSpecSimulator::dataVerdict(const ExecRecord &exec,
                                  const SpecThread &t) const
 {
-    switch (cfg.dataMode) {
-      case DataMode::None:
-        return DataVerdict::Ok;
-      case DataMode::Profiled:
-        return iterDataCorrect(exec, t.iterIndex) ? DataVerdict::Ok
-                                                  : DataVerdict::LiveInMiss;
-      case DataMode::Conflicts:
-        return conflictViolates(exec, t) ? DataVerdict::ConflictMiss
-                                         : DataVerdict::Ok;
-      case DataMode::Full:
-        // Memory wins ties: a conflicting load poisons the iteration no
-        // matter how well its registers were predicted.
-        if (conflictViolates(exec, t))
-            return DataVerdict::ConflictMiss;
-        // Chained live-in prediction: every iteration between the spawn
-        // point and this thread's got its registers from the predictor,
-        // and iterLiveInOk records one-step-ahead predictability.
-        // Un-annotated iterations are conservatively mispredicted.
-        for (uint32_t i = t.spawnFrontIter + 1; i <= t.iterIndex; ++i) {
-            size_t idx = i - 2; // i >= 3: spawnFrontIter is >= 2
-            if (idx >= exec.iterLiveInOk.size() ||
-                !exec.iterLiveInOk[idx])
-                return DataVerdict::LiveInMiss;
-        }
-        return DataVerdict::Ok;
-      default:
-        panic("bad DataMode");
-    }
+    // Memory wins ties: a conflicting load poisons the iteration no
+    // matter how well its registers were predicted.
+    if (checksConflicts(cfg.dataMode) && conflictViolates(exec, t))
+        return DataVerdict::ConflictMiss;
+    if (checksLiveIns(cfg.dataMode) && liveInViolates(exec, t))
+        return DataVerdict::LiveInMiss;
+    return DataVerdict::Ok;
 }
 
 void
@@ -231,9 +211,6 @@ ThreadSpecSimulator::applyDataViolation(ActiveExec &ax,
         ++stats.conflictSquashes;
     else
         ++stats.dataMisses;
-    if (cfg.dataMode != DataMode::Conflicts &&
-        cfg.dataMode != DataMode::Full)
-        return;
     // Violation recovery (docs/DATASPEC.md): the violating thread's
     // younger siblings consumed its state; restart them all and stall
     // the front for the configured recovery penalty.
@@ -464,7 +441,7 @@ ThreadSpecSimulator::handleIterStart(const SimEvent &ev, bool at_front)
         } else {
             // Wrong inputs — a mispredicted live-in or a violated
             // memory dependence: discard the thread's work, the front
-            // re-executes (and Conflicts/Full restart the queue).
+            // re-executes and the younger threads restart.
             ++stats.threadsSquashed;
             trainSpawnConf(exec.loop, false);
             applyDataViolation(ax, v, ev.boundary);

@@ -112,6 +112,11 @@ class ThreadSpecSimulator
     SpecStats run();
 
   private:
+    /** Two-argument form: runs on, then adopts, a private index. */
+    ThreadSpecSimulator(const LoopEventRecording &recording,
+                        std::unique_ptr<RecordingIndex> owned,
+                        SpecConfig config);
+
     /** One outstanding speculative thread (a future loop iteration). */
     struct SpecThread
     {
@@ -164,16 +169,11 @@ class ThreadSpecSimulator
      *  ancestors, squashing those over the limit. */
     void applyNestRule(const ExecRecord &exec, uint64_t boundary);
 
-    /** Profiled data mode: were iteration @p iter_index's live-ins all
-     *  predicted? Always true in DataMode::None. */
-    bool iterDataCorrect(const ExecRecord &exec,
-                         uint32_t iter_index) const;
-
     /** How a thread's verification resolves under the data model. */
     enum class DataVerdict : uint8_t
     {
         Ok,           //!< data correct, the thread's work stands
-        LiveInMiss,   //!< live-in value misprediction (Profiled/Full)
+        LiveInMiss,   //!< live-in register misprediction (LiveIns/Full)
         ConflictMiss, //!< memory-dependence violation (Conflicts/Full)
     };
 
@@ -182,11 +182,18 @@ class ThreadSpecSimulator
     bool conflictViolates(const ExecRecord &exec,
                           const SpecThread &t) const;
 
-    /** Mode-dispatching data check for a control-correct thread. */
+    /** LiveIns/Full: was a live-in register of an iteration between
+     *  @p t's spawn point and its own not stride-predictable
+     *  (ExecRecord::iterLiveInOk)? */
+    bool liveInViolates(const ExecRecord &exec,
+                        const SpecThread &t) const;
+
+    /** Data check for a control-correct thread: the conflict check,
+     *  then the live-in check, each when the mode asks for it. */
     DataVerdict dataVerdict(const ExecRecord &exec,
                             const SpecThread &t) const;
 
-    /** Conflicts/Full violation recovery: count the verdict, cascade-
+    /** Data-violation recovery: count the verdict, cascade-
      *  squash every younger in-flight thread of @p ax (their inputs
      *  came from the violating thread's wrong state) and charge
      *  SpecConfig::dataSquashCycles once. The violating thread itself

@@ -40,7 +40,7 @@ struct DataModeNames
 
 constexpr DataModeNames kDataModeNames[] = {
     {DataMode::None, "none", "", "none"},
-    {DataMode::Profiled, "live", "+data", "profiled"},
+    {DataMode::LiveIns, "live", "+live", "live"},
     {DataMode::Conflicts, "mem", "+mem", "conflicts"},
     {DataMode::Full, "all", "+all", "full"},
 };
@@ -100,8 +100,7 @@ bool
 SweepGrid::needsDataCorrectness() const
 {
     for (const GridPolicy &p : policies) {
-        if (p.dataMode == DataMode::Profiled ||
-            p.dataMode == DataMode::Full)
+        if (checksLiveIns(p.dataMode))
             return true;
     }
     return false;
@@ -111,8 +110,7 @@ bool
 SweepGrid::needsConflictProfile() const
 {
     for (const GridPolicy &p : policies) {
-        if (p.dataMode == DataMode::Conflicts ||
-            p.dataMode == DataMode::Full)
+        if (checksConflicts(p.dataMode))
             return true;
     }
     return false;
@@ -227,7 +225,7 @@ namespace
 {
 
 /** Grid-axis policy entry: "idle" / "str" / "strN", with an optional
- *  data-mode suffix — "+data" (profiled live-in correctness), "+mem"
+ *  data-mode suffix — "+live" (live-in register mispredictions), "+mem"
  *  (conflict violations) or "+all" (both). */
 std::string
 tryParseGridPolicy(std::string text, GridPolicy *gp)
@@ -430,7 +428,7 @@ applyGridSpec(const std::string &spec, SweepGrid *grid)
         // Cross the data-mode axis into the policy axis: each policy
         // entry fans out over the modes (policy-major, so a policy's
         // modes sit side by side in reports), replacing any data mode
-        // a "+data"/"+mem"/"+all" suffix already set.
+        // a "+live"/"+mem"/"+all" suffix already set.
         std::vector<GridPolicy> crossed;
         crossed.reserve(grid->policies.size() * data_modes.size());
         for (const GridPolicy &gp : grid->policies) {

@@ -61,7 +61,7 @@ struct GridPolicy
     SpecPolicy policy = SpecPolicy::Str;
     /** The i in STR(i); ignored by IDLE/STR. */
     unsigned nestLimit = 3;
-    /** Data-dependence treatment (docs/DATASPEC.md). Profiled/Full need
+    /** Data-dependence treatment (docs/DATASPEC.md). LiveIns/Full need
      *  the §4 profiler's live-in flags from the functional pass
      *  (single-CLS grids only); Conflicts/Full need the conflict-
      *  profile annotation, which is replay-derivable at any CLS. */
@@ -135,10 +135,10 @@ struct SweepGrid
     /** True when the grid produces simulator cells at all. */
     bool hasCells() const;
     /** True when any policy needs the §4 profiler's per-iteration
-     *  live-in flags from the functional pass (Profiled/Full). */
+     *  live-in flags from the functional pass (checksLiveIns). */
     bool needsDataCorrectness() const;
     /** True when any policy needs the memory-dependence conflict
-     *  annotation (Conflicts/Full) — and therefore the functional
+     *  annotation (checksConflicts) — and therefore the functional
      *  pass's MemAccessTrace sidecar. */
     bool needsConflictProfile() const;
 };

@@ -507,11 +507,6 @@ struct DataSpecBank
                                  static_cast<unsigned long long>(a));
             }
         }
-        if (got.perIterationOk() != ref.perIterationOk()) {
-            return strprintf("%s: %s profiler per-iteration data flags "
-                             "diverge",
-                             what, name);
-        }
         if (got.perIterationLiveInOk() != ref.perIterationLiveInOk()) {
             return strprintf("%s: %s profiler per-iteration live-in "
                              "flags diverge",
@@ -1054,7 +1049,7 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         // (B3) §4 profiler alone at the default batch size: behind an
         // engine run() detector it reads SoA span ranges straight from
         // the cold planes and must reproduce the scalar-fed report and
-        // both per-iteration flag maps exactly.
+        // the per-iteration live-in flag map exactly.
         {
             DataSpecBank dataspec_b3;
             TraceEngine engine(prog, ecfg);

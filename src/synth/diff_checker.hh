@@ -33,7 +33,7 @@
  *    detector, the SoA-batched engine run, or a control-trace replay,
  *    and whether its sidecar was recorded scalar or batched;
  *  - the §4 data-speculation profiler must produce the identical report
- *    and per-iteration flag maps whether its detector was fed scalar
+ *    and per-iteration live-in flag map whether its detector was fed scalar
  *    records or an engine run() (odd-sized and default batches) whose
  *    SoA spans it reads straight from the cold planes — under the
  *    default caps and under caps small enough to trip.

@@ -505,8 +505,9 @@ TEST(TagePredictor, HistoryLengthsAreGeometricAndIncreasing)
     for (size_t i = 0; i < lens.size(); ++i) {
         EXPECT_GE(lens[i], 1u);
         EXPECT_LE(lens[i], 4u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(lens[i], lens[i - 1]);
+        }
     }
 }
 

@@ -255,7 +255,7 @@ TEST(DataSpec, PerIterationFlagsRecorded)
     engine.addObserver(&det);
     engine.run();
 
-    const auto &flags = prof.perIterationOk();
+    const auto &flags = prof.perIterationLiveInOk();
     ASSERT_EQ(flags.size(), 1u);
     const auto &v = flags.begin()->second;
     ASSERT_GE(v.size(), 30u);
@@ -281,7 +281,7 @@ TEST(DataSpec, PerIterationFlagsOffByDefault)
     det.addListener(&prof);
     engine.addObserver(&det);
     engine.run();
-    EXPECT_TRUE(prof.perIterationOk().empty());
+    EXPECT_TRUE(prof.perIterationLiveInOk().empty());
 }
 
 TEST(DataSpec, MergeAnnotatesRecording)
@@ -307,10 +307,10 @@ TEST(DataSpec, MergeAnnotatesRecording)
 
     LoopEventRecording recording = rec.take();
     for (const auto &x : recording.execs)
-        EXPECT_TRUE(x.iterDataOk.empty());
+        EXPECT_TRUE(x.iterLiveInOk.empty());
     mergeDataCorrectness(recording, prof);
     ASSERT_EQ(recording.execs.size(), 1u);
-    EXPECT_FALSE(recording.execs[0].iterDataOk.empty());
+    EXPECT_FALSE(recording.execs[0].iterLiveInOk.empty());
 }
 
 TEST(DataSpec, ReportPercentagesAreConsistent)

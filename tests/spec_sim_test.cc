@@ -189,11 +189,11 @@ TEST(SpecSimData, NoneModeIgnoresAnnotations)
 {
     LoopEventRecording rec = record(flatLoop(100, 4));
     for (auto &x : rec.execs)
-        x.iterDataOk.assign(x.iterCount, false); // everything "wrong"
+        x.iterLiveInOk.assign(x.iterCount, false); // everything "wrong"
     SpecConfig none{4, SpecPolicy::Idle, 3, DataMode::None};
-    SpecConfig prof{4, SpecPolicy::Idle, 3, DataMode::Profiled};
+    SpecConfig live{4, SpecPolicy::Idle, 3, DataMode::LiveIns};
     SpecStats sn = ThreadSpecSimulator(rec, none).run();
-    SpecStats sp = ThreadSpecSimulator(rec, prof).run();
+    SpecStats sp = ThreadSpecSimulator(rec, live).run();
     EXPECT_EQ(sn.dataMisses, 0u);
     EXPECT_GT(sp.dataMisses, 0u);
     EXPECT_LT(sn.cycles, sp.cycles);
@@ -203,11 +203,11 @@ TEST(SpecSimData, AllCorrectMatchesControlOnly)
 {
     LoopEventRecording rec = record(flatLoop(100, 4));
     for (auto &x : rec.execs)
-        x.iterDataOk.assign(x.iterCount, true);
+        x.iterLiveInOk.assign(x.iterCount, true);
     SpecConfig none{4, SpecPolicy::Idle, 3, DataMode::None};
-    SpecConfig prof{4, SpecPolicy::Idle, 3, DataMode::Profiled};
+    SpecConfig live{4, SpecPolicy::Idle, 3, DataMode::LiveIns};
     SpecStats sn = ThreadSpecSimulator(rec, none).run();
-    SpecStats sp = ThreadSpecSimulator(rec, prof).run();
+    SpecStats sp = ThreadSpecSimulator(rec, live).run();
     EXPECT_EQ(sp.dataMisses, 0u);
     EXPECT_EQ(sn.cycles, sp.cycles);
     EXPECT_EQ(sn.threadsVerified, sp.threadsVerified);
@@ -215,13 +215,13 @@ TEST(SpecSimData, AllCorrectMatchesControlOnly)
 
 TEST(SpecSimData, AllWrongDegradesToSequential)
 {
-    // Every thread's work is discarded at verification: the front
-    // executes everything itself.
+    // Every thread is squashed at verification: the front executes
+    // everything itself.
     LoopEventRecording rec = record(flatLoop(200, 4));
     for (auto &x : rec.execs)
-        x.iterDataOk.assign(x.iterCount, false);
-    SpecConfig prof{8, SpecPolicy::Idle, 3, DataMode::Profiled};
-    SpecStats s = ThreadSpecSimulator(rec, prof).run();
+        x.iterLiveInOk.assign(x.iterCount, false);
+    SpecConfig live{8, SpecPolicy::Idle, 3, DataMode::LiveIns};
+    SpecStats s = ThreadSpecSimulator(rec, live).run();
     EXPECT_EQ(s.threadsVerified, 0u);
     EXPECT_NEAR(s.tpc(), 1.0, 0.01);
     EXPECT_EQ(s.threadsSpeculated,
@@ -231,9 +231,9 @@ TEST(SpecSimData, AllWrongDegradesToSequential)
 TEST(SpecSimData, UnannotatedIsConservativelyWrong)
 {
     LoopEventRecording rec = record(flatLoop(100, 4));
-    // Leave iterDataOk empty.
-    SpecConfig prof{4, SpecPolicy::Idle, 3, DataMode::Profiled};
-    SpecStats s = ThreadSpecSimulator(rec, prof).run();
+    // Leave iterLiveInOk empty.
+    SpecConfig live{4, SpecPolicy::Idle, 3, DataMode::LiveIns};
+    SpecStats s = ThreadSpecSimulator(rec, live).run();
     EXPECT_EQ(s.threadsVerified, 0u);
     EXPECT_GT(s.dataMisses, 0u);
 }
@@ -244,14 +244,14 @@ TEST(SpecSimData, PartialCorrectnessIsProportional)
     // commit; TPC sits strictly between sequential and control-only.
     LoopEventRecording rec = record(flatLoop(300, 4));
     for (auto &x : rec.execs) {
-        x.iterDataOk.resize(x.iterCount);
+        x.iterLiveInOk.resize(x.iterCount);
         for (uint32_t j = 0; j < x.iterCount; ++j)
-            x.iterDataOk[j] = (j % 2) == 0;
+            x.iterLiveInOk[j] = (j % 2) == 0;
     }
     SpecConfig none{4, SpecPolicy::Idle, 3, DataMode::None};
-    SpecConfig prof{4, SpecPolicy::Idle, 3, DataMode::Profiled};
+    SpecConfig live{4, SpecPolicy::Idle, 3, DataMode::LiveIns};
     double control = ThreadSpecSimulator(rec, none).run().tpc();
-    SpecStats s = ThreadSpecSimulator(rec, prof).run();
+    SpecStats s = ThreadSpecSimulator(rec, live).run();
     EXPECT_GT(s.tpc(), 1.1);
     EXPECT_LT(s.tpc(), control);
     EXPECT_GT(s.dataMisses, 0u);
@@ -383,6 +383,37 @@ TEST(SpecSimConflicts, FullModeLayersLiveInMissesOverConflicts)
     EXPECT_GE(full_bad.cycles, full_ok.cycles);
     EXPECT_EQ(full_bad.threadsSpeculated,
               full_bad.threadsVerified + full_bad.threadsSquashed);
+}
+
+TEST(SpecSimConflicts, LiveInsModeIsFullWithoutConflicts)
+{
+    // The data modes are orthogonal: with the conflict annotation
+    // removed, Full's only squash source is its live-in check, so it
+    // must equal LiveIns counter for counter — cascade and recovery
+    // penalty included — whatever the live-in flags say.
+    LoopEventRecording rec =
+        recordWithConflicts(buildWorkload("synth.memdep", {0.05}), true);
+    for (auto &x : rec.execs)
+        x.iterDepSrc.clear();
+    for (bool predicted : {true, false}) {
+        for (auto &x : rec.execs)
+            x.iterLiveInOk.assign(x.iterCount, predicted);
+        for (unsigned tus : {2u, 4u, 8u}) {
+            for (unsigned cost : {0u, 20u}) {
+                SCOPED_TRACE(predicted * 1000 + tus * 100 + cost);
+                SpecStats live =
+                    simulateData(rec, tus, DataMode::LiveIns, cost);
+                SpecStats full = simulateData(rec, tus, DataMode::Full, cost);
+                EXPECT_TRUE(live == full);
+                EXPECT_EQ(live.conflictSquashes, 0u);
+                if (predicted) {
+                    EXPECT_EQ(live.dataMisses, 0u);
+                } else {
+                    EXPECT_GT(live.dataMisses, 0u);
+                }
+            }
+        }
+    }
 }
 
 TEST(SpecSimConflicts, DataCostChargesRecoveryCycles)

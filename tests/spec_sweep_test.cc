@@ -140,8 +140,8 @@ TEST(SpecSweep, DataspecGridMatchesSerialPerFigureLoop)
     SweepGrid grid = sweepGridFromOptions(opts);
     grid.policies = {
         {SpecPolicy::Str, 3, DataMode::None, "control"},
-        {SpecPolicy::Str, 3, DataMode::Profiled, "ctrl+data"},
-        {SpecPolicy::StrI, 3, DataMode::Profiled, "ctrl+data STR(3)"}};
+        {SpecPolicy::Str, 3, DataMode::LiveIns, "ctrl+live"},
+        {SpecPolicy::StrI, 3, DataMode::LiveIns, "ctrl+live STR(3)"}};
     grid.tuCounts = {4};
     ASSERT_TRUE(grid.needsDataCorrectness());
     SweepResult r = runSpecSweep(grid, 2);
@@ -151,13 +151,13 @@ TEST(SpecSweep, DataspecGridMatchesSerialPerFigureLoop)
     WorkloadArtifacts art = runWorkload("compress", opts, flags);
     const SpecConfig configs[3] = {
         {4, SpecPolicy::Str, 3, DataMode::None, 0},
-        {4, SpecPolicy::Str, 3, DataMode::Profiled, 0},
-        {4, SpecPolicy::StrI, 3, DataMode::Profiled, 0}};
+        {4, SpecPolicy::Str, 3, DataMode::LiveIns, 0},
+        {4, SpecPolicy::StrI, 3, DataMode::LiveIns, 0}};
     for (size_t p = 0; p < 3; ++p) {
         SCOPED_TRACE(grid.policies[p].name());
         expectStatsEq(r.cell(0, 0, p, 0), serialCell(art, configs[p]));
     }
-    // Profiled mode must actually bite, or the equality above proves
+    // LiveIns mode must actually bite, or the equality above proves
     // nothing about the annotated-recording path.
     EXPECT_GT(r.cell(0, 0, 1, 0).dataMisses, 0u);
 }
@@ -483,7 +483,7 @@ TEST(SpecSweepDeathTest, TraceDirRejectsDataSpeculationGrids)
     // trace cannot provide; the engine must say so up front.
     RunOptions opts = smallOpts({"li"});
     SweepGrid grid = sweepGridFromOptions(opts);
-    grid.policies = {{SpecPolicy::Str, 3, DataMode::Profiled, "data"}};
+    grid.policies = {{SpecPolicy::Str, 3, DataMode::LiveIns, "live"}};
     grid.tuCounts = {4};
     grid.traceDir = "/irrelevant";
     EXPECT_EXIT(runSpecSweep(grid, 1), testing::ExitedWithCode(1),
@@ -494,8 +494,10 @@ TEST(SpecSweepDeathTest, ProfiledDataModeRejectsMultiClsGrids)
 {
     RunOptions opts = smallOpts({"li"});
     SweepGrid grid = sweepGridFromOptions(opts);
+    // The live-in flags come from the functional pass at the traced
+    // CLS only.
     grid.clsSizes = {16, 8};
-    grid.policies = {{SpecPolicy::Str, 3, DataMode::Profiled, "data"}};
+    grid.policies = {{SpecPolicy::Str, 3, DataMode::LiveIns, "live"}};
     grid.tuCounts = {4};
     EXPECT_EXIT(runSpecSweep(grid, 1), testing::ExitedWithCode(1),
                 "single-CLS");

@@ -376,9 +376,12 @@ TEST(SweepServiceValidation, RejectsBadRemoteInputWithDiagnostics)
     bad = req;
     bad.traceDir = "/not/served"; // server runs without a trace dir
     EXPECT_NE(err(bad), "");
+    bad = req;
+    bad.grid = "policies=str+data;tus=2"; // retired suffix, now +live
+    EXPECT_NE(err(bad), "");
     // Multi-CLS data-speculation grids cannot be replay-derived.
     bad = req;
-    bad.grid = "policies=str+data;tus=2;cls=8,16";
+    bad.grid = "policies=str+live;tus=2;cls=8,16";
     EXPECT_NE(err(bad), "");
     // --check-replay semantics (fatal on divergence) are not
     // daemon-safe.
@@ -495,7 +498,7 @@ TEST(SweepService, DataSpecGridsAreServedFromCacheBitForBit)
     SweepGrid live;
     live.workloads = {"compress"};
     live.scale.factor = 0.1;
-    ASSERT_EQ(applyGridSpec("policies=str+data;tus=2;dataspec=1", &live),
+    ASSERT_EQ(applyGridSpec("policies=str+live;tus=2;dataspec=1", &live),
               "");
 
     SweepGrid mem;

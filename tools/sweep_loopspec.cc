@@ -7,13 +7,13 @@
  *   sweep_loopspec                                    # paper grid, all cores
  *   sweep_loopspec --grid paper --jobs 4 --baseline   # CI configuration
  *   sweep_loopspec --grid "policies=str,str3;tus=2,4,8;cls=8,16;let=0,64"
- *   sweep_loopspec --benchmarks swim,gcc --grid "policies=str+data;tus=4"
+ *   sweep_loopspec --benchmarks swim,gcc --grid "policies=str+live;tus=4"
  *   sweep_loopspec --grid "predictors=bimodal,gshare:12;tus=2,4"
  *
  * The grid spec is semicolon-separated key=value pairs with
  * comma-separated lists:
- *   policies    idle | str | str1..str9, each with an optional "+data"
- *               suffix for profiled live-in correctness
+ *   policies    idle | str | str1..str9, each with an optional "+live",
+ *               "+mem" or "+all" data-mode suffix (see dataspec)
  *   predictors  conventional-baseline entries appended to the policy
  *               axis: bimodal[:T] | gshare[:H[/T]] | local[:H/L] |
  *               let[:T] | tage[:N/a-b[/T]] | tournament:<a>+<b>
@@ -37,7 +37,8 @@
  *               grids only); mem re-derives the conflict annotation
  *               from the memory sidecar at every CLS
  *   datacost    recovery cycles charged per data-violation event in the
- *               mem/all modes (SpecConfig::dataSquashCycles; default 0)
+ *               live/mem/all modes (SpecConfig::dataSquashCycles;
+ *               default 0)
  * or the single preset "paper": every Table-1 workload ×
  * {IDLE, STR, STR(1..3)} × {2,4,8,16} TUs at CLS 16 — the union of the
  * Figure 6/7 and Table 2 grids.
