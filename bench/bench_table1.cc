@@ -31,7 +31,7 @@ main(int argc, char **argv)
     // order, so the printed table is identical to the sequential loop.
     std::vector<std::string> names = opts.selected();
     std::vector<WorkloadArtifacts> artifacts =
-        runWorkloads(names, opts, flags);
+        runWorkloads(names, opts, flags, opts.jobs);
     for (size_t i = 0; i < names.size(); ++i) {
         const std::string &name = names[i];
         const auto &r = artifacts[i].loopStats;

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <memory>
 
+#include "loop/cls.hh"
 #include "loop/loop_detector.hh"
 #include "speculation/ideal_tpc.hh"
 #include "trace_io/stream_reader.hh"
@@ -49,7 +50,11 @@ parseRunOptions(int argc, char **argv,
     if (opts.scale.factor <= 0.0)
         fatal("--scale must be positive");
     opts.benchmarks = splitList(args->getString("benchmarks", ""));
-    opts.clsEntries = args->getUint("cls", 16);
+    const uint64_t cls = args->getUint("cls", 16);
+    if (cls < 1 || cls > clsMaxCapacity)
+        fatal("--cls: CLS size %llu outside [1, %zu]",
+              static_cast<unsigned long long>(cls), clsMaxCapacity);
+    opts.clsEntries = static_cast<size_t>(cls);
     opts.maxInstrs = args->getUint("max-instrs", 0);
     opts.csv = args->getBool("csv", false);
     opts.checkReplay = args->getBool("check-replay", false);
@@ -96,24 +101,6 @@ hitRatioTableSizes()
 namespace
 {
 
-/** One full trace pass with a given listener/observer set. */
-uint64_t
-tracePass(const Program &prog, uint64_t max_instrs, size_t cls_entries,
-          const std::vector<LoopListener *> &listeners,
-          const std::vector<TraceObserver *> &extra_observers = {})
-{
-    EngineConfig ecfg;
-    ecfg.maxInstrs = max_instrs;
-    TraceEngine engine(prog, ecfg);
-    LoopDetector detector({cls_entries});
-    for (auto *l : listeners)
-        detector.addListener(l);
-    engine.addObserver(&detector);
-    for (auto *obs : extra_observers)
-        engine.addObserver(obs);
-    return engine.run();
-}
-
 void
 checkMeterMatch(const char *what, const std::string &name, size_t entries,
                 const HitRatioResult &direct, const HitRatioResult &replay)
@@ -129,14 +116,18 @@ checkMeterMatch(const char *what, const std::string &name, size_t entries,
     }
 }
 
-/** Fan one replayed batch out to several observers (detector +
- *  predictor meters ride the same streaming pass, as they ride the
- *  same engine pass in process). Needs what its neediest target
- *  needs, so an all-hot-plane set replays hot planes. */
+/** Fan one batch out to several observers: the detector, control-trace
+ *  recorder, predictor meters and memory sidecar ride the same pass
+ *  whether it executes the program or streams a container. Needs what
+ *  its neediest target needs, so an all-hot-plane set runs on hot
+ *  planes. Keeps the pass's length from onTraceEnd. */
 class FanoutObserver : public TraceObserver
 {
   public:
     void add(TraceObserver *obs) { targets.push_back(obs); }
+
+    /** Instructions delivered (valid after onTraceEnd). */
+    uint64_t totalInstrs() const { return total; }
 
     void
     onInstr(const DynInstr &instr) override
@@ -164,173 +155,15 @@ class FanoutObserver : public TraceObserver
     void
     onTraceEnd(uint64_t total_instrs) override
     {
+        total = total_instrs;
         for (auto *o : targets)
             o->onTraceEnd(total_instrs);
     }
 
   private:
     std::vector<TraceObserver *> targets;
+    uint64_t total = 0;
 };
-
-/**
- * The --trace-dir functional pass: an out-of-core streaming replay of
- * <traceDir>/<name>.lstrace stands in for executing the workload.
- * Derivations are shared with the in-process path (recording replays,
- * meter replays), so artifacts are bit-identical to a run over the
- * ControlTrace the file was exported from. Under checkReplay the
- * streaming pass is additionally cross-checked against a fully
- * materialized in-memory replay of the same file. A container that
- * cannot be opened or read (a payload failing its CRC mid-stream)
- * lands in @p error when the caller passed one, fatal() otherwise.
- */
-WorkloadArtifacts
-runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
-                     const CollectFlags &flags, std::string *error)
-{
-    WorkloadArtifacts out;
-    out.name = name;
-    if (flags.dataSpec || flags.dataCorrectness || flags.memTrace) {
-        fatal("%s: data-speculation profiling reads operand values, "
-              "which a control-trace replay (--trace-dir) cannot "
-              "provide",
-              name.c_str());
-    }
-    const auto failed = [&](const std::string &msg) {
-        if (!error)
-            fatal("%s", msg.c_str());
-        *error = msg;
-        return WorkloadArtifacts{};
-    };
-
-    const std::string path =
-        traceFilePath(opts.traceDir, name, kControlTraceExt);
-    std::string err;
-    std::unique_ptr<TraceFileStreamer> streamer =
-        TraceFileStreamer::open(path, StreamConfig{}, &err);
-    if (!streamer)
-        return failed(err);
-
-    // A recording always rides along under checkReplay: comparing it
-    // against the materialized replay covers the whole detector event
-    // stream in one oracle.
-    const bool need_recorder =
-        flags.recording || flags.hitRatios || opts.checkReplay;
-
-    LoopStats stats;
-    IdealTpcComputer ideal;
-    LoopEventRecorder recorder;
-    LoopDetector detector({opts.clsEntries});
-    if (flags.loopStats)
-        detector.addListener(&stats);
-    if (flags.ideal)
-        detector.addListener(&ideal);
-    if (need_recorder)
-        detector.addListener(&recorder);
-    PredictorMeter predictorMeter(flags.predictors);
-
-    FanoutObserver fan;
-    fan.add(&detector);
-    if (!flags.predictors.empty())
-        fan.add(&predictorMeter);
-
-    err = streamer->replayControl(fan, opts.maxInstrs);
-    if (!err.empty())
-        return failed(err);
-    out.totalInstrs = streamer->totalInstrs();
-    if (opts.maxInstrs && opts.maxInstrs < out.totalInstrs)
-        out.totalInstrs = opts.maxInstrs;
-
-    LoopEventRecording recording;
-    if (need_recorder)
-        recording = recorder.take();
-
-    ControlTrace materialized;
-    if (opts.checkReplay || flags.controlTrace) {
-        err = loadControlTraceFile(path, &materialized);
-        if (!err.empty())
-            return failed(err);
-    }
-
-    if (opts.checkReplay) {
-        LoopDetector direct({opts.clsEntries});
-        LoopEventRecorder directRec;
-        direct.addListener(&directRec);
-        PredictorMeter directMeter(flags.predictors);
-        FanoutObserver directFan;
-        directFan.add(&direct);
-        if (!flags.predictors.empty())
-            directFan.add(&directMeter);
-        replayControlTrace(materialized, directFan, opts.maxInstrs);
-        std::string diff =
-            compareRecordings(directRec.take(), recording);
-        if (!diff.empty()) {
-            fatal("%s: streaming replay diverges from in-memory "
-                  "replay: %s",
-                  name.c_str(), diff.c_str());
-        }
-        std::vector<PredictorMeterResult> a = predictorMeter.results();
-        std::vector<PredictorMeterResult> b = directMeter.results();
-        for (size_t i = 0; i < a.size(); ++i) {
-            if (a[i].lookups != b[i].lookups || a[i].hits != b[i].hits ||
-                a[i].stateHash != b[i].stateHash) {
-                fatal("%s: predictor %s diverges between streaming and "
-                      "in-memory replay",
-                      name.c_str(), predictorName(a[i].config).c_str());
-            }
-        }
-    }
-
-    if (flags.loopStats)
-        out.loopStats = stats.report();
-    if (flags.hitRatios) {
-        std::vector<std::unique_ptr<LetHitMeter>> lets;
-        std::vector<std::unique_ptr<LitHitMeter>> lits;
-        std::vector<LoopListener *> meters;
-        for (size_t sz : hitRatioTableSizes()) {
-            lets.push_back(std::make_unique<LetHitMeter>(sz));
-            lits.push_back(std::make_unique<LitHitMeter>(sz));
-            meters.push_back(lets.back().get());
-            meters.push_back(lits.back().get());
-        }
-        replayLoopEvents(recording, meters);
-        for (size_t i = 0; i < lets.size(); ++i) {
-            out.letResults.emplace_back(lets[i]->numEntries(),
-                                        lets[i]->result());
-            out.litResults.emplace_back(lits[i]->numEntries(),
-                                        lits[i]->result());
-        }
-    }
-    if (flags.ideal) {
-        out.idealTpc = ideal.tpc();
-        IdealTpcComputer prefix;
-        LoopDetector prefixDet({opts.clsEntries});
-        prefixDet.addListener(&prefix);
-        err = streamer->replayControl(prefixDet, out.totalInstrs / 2);
-        if (!err.empty())
-            return failed(err);
-        out.idealTpcPrefix = prefix.tpc();
-        if (opts.checkReplay) {
-            IdealTpcComputer direct;
-            LoopDetector directDet({opts.clsEntries});
-            directDet.addListener(&direct);
-            replayControlTrace(materialized, directDet,
-                               out.totalInstrs / 2);
-            if (direct.tpc() != prefix.tpc() ||
-                direct.idealCycles() != prefix.idealCycles()) {
-                fatal("%s: prefix replay mismatch: in-memory TPC %.17g "
-                      "vs streaming %.17g",
-                      name.c_str(), direct.tpc(), prefix.tpc());
-            }
-        }
-    }
-    if (!flags.predictors.empty())
-        out.predictorStats = predictorMeter.results();
-    if (flags.recording)
-        out.recording = std::move(recording);
-    if (flags.controlTrace)
-        out.controlTrace = std::move(materialized);
-    return out;
-}
 
 } // namespace
 
@@ -346,20 +179,78 @@ runWorkload(const std::string &name, const RunOptions &opts,
         flags.recording = true;
         flags.dataSpec = true;
     }
+    const bool streamed = !opts.traceDir.empty();
+    if (streamed && (flags.dataSpec || flags.memTrace)) {
+        fatal("%s: data-speculation profiling reads operand values, "
+              "which a control-trace replay (--trace-dir) cannot "
+              "provide",
+              name.c_str());
+    }
+    const auto failed = [&](const std::string &msg) {
+        if (!error)
+            fatal("%s", msg.c_str());
+        *error = msg;
+        return WorkloadArtifacts{};
+    };
 
-    if (!opts.traceDir.empty())
-        return runWorkloadFromTrace(name, opts, flags, error);
+    // --- Pass source ---------------------------------------------------
+    // In process the pass executes the program. Under --trace-dir an
+    // out-of-core streaming replay of <traceDir>/<name>.lstrace stands
+    // in for it; everything below is shared, so its artifacts are
+    // bit-identical to a run over the ControlTrace the file was
+    // exported from. A container that cannot be opened or read (a
+    // payload failing its CRC mid-stream) is failed(), not a crash.
+    Program prog;
+    std::unique_ptr<TraceFileStreamer> streamer;
+    const std::string path =
+        streamed ? traceFilePath(opts.traceDir, name, kControlTraceExt)
+                 : std::string();
+    std::string err;
+    if (streamed) {
+        streamer = TraceFileStreamer::open(path, StreamConfig{}, &err);
+        if (!streamer)
+            return failed(err);
+    } else {
+        prog = buildWorkload(name, opts.scale);
+    }
 
-    Program prog = buildWorkload(name, opts.scale);
+    // The control trace: recorded on the pass in process, loaded from
+    // the container under --trace-dir.
+    ControlTrace ctrace;
+    // Feed the first @p max_instrs instructions (0 = all) into @p obs,
+    // either from the source afresh (execute again / stream the file
+    // again) or from the in-memory control trace.
+    const auto feed = [&](bool from_source, TraceObserver &obs,
+                          uint64_t max_instrs) -> std::string {
+        if (!from_source) {
+            replayControlTrace(ctrace, obs, max_instrs);
+            return "";
+        }
+        if (streamer)
+            return streamer->replayControl(obs, max_instrs);
+        EngineConfig ecfg;
+        ecfg.maxInstrs = max_instrs;
+        TraceEngine engine(prog, ecfg);
+        engine.addObserver(&obs);
+        engine.run();
+        return "";
+    };
+    const auto feed_name = [&](bool from_source) {
+        if (from_source)
+            return streamed ? "streaming replay" : "direct execution";
+        return streamed ? "in-memory replay" : "control-trace replay";
+    };
 
-    // --- Single functional pass -------------------------------------
+    // --- Single pass ---------------------------------------------------
     // Everything an experiment needs is gathered here; derived
-    // configurations below run off the recordings, never the engine.
-    const bool need_recorder = flags.recording || flags.hitRatios;
-    const bool check_predictors =
-        !flags.predictors.empty() && opts.checkReplay;
-    const bool need_ctrace =
-        flags.ideal || flags.controlTrace || check_predictors;
+    // configurations below run off the recordings. Under checkReplay a
+    // recording and the control trace always ride along: replaying the
+    // one into a fresh detector must reproduce the other, which covers
+    // the whole detector event stream in one oracle.
+    const bool need_recorder =
+        flags.recording || flags.hitRatios || opts.checkReplay;
+    const bool need_ctrace = flags.controlTrace || opts.checkReplay ||
+                             (flags.ideal && !streamed);
 
     LoopStats stats;
     IdealTpcComputer ideal;
@@ -368,51 +259,97 @@ runWorkload(const std::string &name, const RunOptions &opts,
     DataSpecConfig dcfg;
     dcfg.recordPerIteration = flags.dataCorrectness;
     DataSpecProfiler profiler(dcfg);
+    PredictorMeter predictorMeter(flags.predictors);
+    MemTraceRecorder memRecorder;
 
-    // Cross-check mode: meters also ride the live pass for comparison.
+    // Cross-check mode: meters also ride the pass for comparison.
     std::vector<std::unique_ptr<LetHitMeter>> liveLets;
     std::vector<std::unique_ptr<LitHitMeter>> liveLits;
 
-    std::vector<LoopListener *> listeners;
+    LoopDetector detector({opts.clsEntries});
     if (flags.loopStats)
-        listeners.push_back(&stats);
+        detector.addListener(&stats);
     if (flags.hitRatios && opts.checkReplay) {
         for (size_t sz : hitRatioTableSizes()) {
             liveLets.push_back(std::make_unique<LetHitMeter>(sz));
             liveLits.push_back(std::make_unique<LitHitMeter>(sz));
-            listeners.push_back(liveLets.back().get());
-            listeners.push_back(liveLits.back().get());
+            detector.addListener(liveLets.back().get());
+            detector.addListener(liveLits.back().get());
         }
     }
     if (flags.ideal)
-        listeners.push_back(&ideal);
+        detector.addListener(&ideal);
     if (need_recorder)
-        listeners.push_back(&recorder);
+        detector.addListener(&recorder);
     if (flags.dataSpec)
-        listeners.push_back(&profiler);
+        detector.addListener(&profiler);
 
-    PredictorMeter predictorMeter(flags.predictors);
-    MemTraceRecorder memRecorder;
-
-    std::vector<TraceObserver *> extra;
-    if (need_ctrace)
-        extra.push_back(&ctraceRecorder);
+    FanoutObserver pass;
+    pass.add(&detector);
+    if (need_ctrace && !streamed)
+        pass.add(&ctraceRecorder);
     if (!flags.predictors.empty())
-        extra.push_back(&predictorMeter);
+        pass.add(&predictorMeter);
     if (flags.memTrace)
-        extra.push_back(&memRecorder);
+        pass.add(&memRecorder);
 
-    out.totalInstrs =
-        tracePass(prog, opts.maxInstrs, opts.clsEntries, listeners, extra);
+    err = feed(true, pass, opts.maxInstrs);
+    if (!err.empty())
+        return failed(err);
+    out.totalInstrs = pass.totalInstrs();
 
     LoopEventRecording recording;
     if (need_recorder)
         recording = recorder.take();
-    ControlTrace ctrace;
-    if (need_ctrace)
+    if (need_ctrace && streamed) {
+        err = loadControlTraceFile(path, &ctrace);
+        if (!err.empty())
+            return failed(err);
+    } else if (need_ctrace) {
         ctrace = ctraceRecorder.take();
+    }
 
-    // --- Replay-derived artifacts -----------------------------------
+    // --- Replay-derived artifacts --------------------------------------
+    if (opts.checkReplay) {
+        // The control trace replayed into a fresh detector and meter
+        // bank must be indistinguishable from the pass: the meters read
+        // only pc/kind/taken, fields the trace records exactly, so
+        // final table state is compared too.
+        LoopDetector refDet({opts.clsEntries});
+        LoopEventRecorder refRec;
+        refDet.addListener(&refRec);
+        PredictorMeter refMeter(flags.predictors);
+        FanoutObserver ref;
+        ref.add(&refDet);
+        if (!flags.predictors.empty())
+            ref.add(&refMeter);
+        feed(false, ref, opts.maxInstrs);
+        std::string diff = compareRecordings(refRec.take(), recording);
+        if (!diff.empty()) {
+            fatal("%s: %s diverges from %s: %s", name.c_str(),
+                  feed_name(true), feed_name(false), diff.c_str());
+        }
+        std::vector<PredictorMeterResult> live = predictorMeter.results();
+        std::vector<PredictorMeterResult> replayed = refMeter.results();
+        for (size_t i = 0; i < live.size(); ++i) {
+            const PredictorMeterResult &a = live[i];
+            const PredictorMeterResult &b = replayed[i];
+            if (a.lookups != b.lookups || a.hits != b.hits ||
+                a.stateHash != b.stateHash) {
+                fatal("%s: predictor %s replay mismatch: %s %llu/%llu "
+                      "hash %016llx vs %s %llu/%llu hash %016llx",
+                      name.c_str(), predictorName(a.config).c_str(),
+                      feed_name(true),
+                      static_cast<unsigned long long>(a.hits),
+                      static_cast<unsigned long long>(a.lookups),
+                      static_cast<unsigned long long>(a.stateHash),
+                      feed_name(false),
+                      static_cast<unsigned long long>(b.hits),
+                      static_cast<unsigned long long>(b.lookups),
+                      static_cast<unsigned long long>(b.stateHash));
+            }
+        }
+    }
     if (flags.loopStats)
         out.loopStats = stats.report();
     if (flags.hitRatios) {
@@ -446,56 +383,35 @@ runWorkload(const std::string &name, const RunOptions &opts,
     if (flags.ideal) {
         out.idealTpc = ideal.tpc();
         // Figure 5 pairs the full run with a truncated prefix to show
-        // the behaviour is stable; replay the recorded control stream
-        // over the first half instead of re-executing the workload.
+        // the behaviour is stable. The stream is replayed again over
+        // the first half instead of re-executing the workload: from the
+        // recorded control trace in process, by streaming the container
+        // afresh under --trace-dir. The --check-replay reference is the
+        // other feed.
+        const uint64_t half = out.totalInstrs / 2;
         IdealTpcComputer prefix;
         LoopDetector prefixDet({opts.clsEntries});
         prefixDet.addListener(&prefix);
-        replayControlTrace(ctrace, prefixDet, out.totalInstrs / 2);
+        err = feed(streamed, prefixDet, half);
+        if (!err.empty())
+            return failed(err);
         out.idealTpcPrefix = prefix.tpc();
         if (opts.checkReplay) {
             IdealTpcComputer direct;
-            Program prog2 = buildWorkload(name, opts.scale);
-            tracePass(prog2, out.totalInstrs / 2, opts.clsEntries,
-                      {&direct});
+            LoopDetector directDet({opts.clsEntries});
+            directDet.addListener(&direct);
+            feed(!streamed, directDet, half);
             if (direct.tpc() != prefix.tpc() ||
                 direct.idealCycles() != prefix.idealCycles()) {
-                fatal("%s: prefix replay mismatch: direct TPC %.17g vs "
-                      "replay %.17g",
-                      name.c_str(), direct.tpc(), prefix.tpc());
+                fatal("%s: prefix replay mismatch: %s TPC %.17g vs "
+                      "%s %.17g",
+                      name.c_str(), feed_name(!streamed), direct.tpc(),
+                      feed_name(streamed), prefix.tpc());
             }
         }
     }
-    if (!flags.predictors.empty()) {
+    if (!flags.predictors.empty())
         out.predictorStats = predictorMeter.results();
-        if (opts.checkReplay) {
-            // The meters read only pc/kind/taken — fields the control
-            // trace records exactly — so a replay-fed meter bank must
-            // be indistinguishable, final table state included.
-            PredictorMeter replayMeter(flags.predictors);
-            replayControlTrace(ctrace, replayMeter);
-            std::vector<PredictorMeterResult> derived =
-                replayMeter.results();
-            for (size_t i = 0; i < derived.size(); ++i) {
-                const PredictorMeterResult &a = out.predictorStats[i];
-                const PredictorMeterResult &b = derived[i];
-                if (a.lookups != b.lookups || a.hits != b.hits ||
-                    a.stateHash != b.stateHash) {
-                    fatal("%s: predictor %s replay mismatch: live "
-                          "%llu/%llu hash %016llx vs replay %llu/%llu "
-                          "hash %016llx",
-                          name.c_str(),
-                          predictorName(a.config).c_str(),
-                          static_cast<unsigned long long>(a.hits),
-                          static_cast<unsigned long long>(a.lookups),
-                          static_cast<unsigned long long>(a.stateHash),
-                          static_cast<unsigned long long>(b.hits),
-                          static_cast<unsigned long long>(b.lookups),
-                          static_cast<unsigned long long>(b.stateHash));
-                }
-            }
-        }
-    }
     if (flags.recording)
         out.recording = std::move(recording);
     if (flags.dataSpec)

@@ -1,12 +1,14 @@
 /**
  * @file
- * Shared experiment driver: builds a workload, executes the functional
- * simulator ONCE through the loop detector with the listeners an
- * experiment needs, and derives every dependent configuration by replay —
- * the LET/LIT table-size sweep replays the recorded loop-event stream,
- * the Figure-5 prefix rerun replays the recorded control-event trace.
- * Every bench binary (one per paper table/figure) is a thin layer over
- * this.
+ * Shared experiment driver: runs ONE trace pass through the loop
+ * detector with the listeners an experiment needs, and derives every
+ * dependent configuration by replay — the LET/LIT table-size sweep
+ * replays the recorded loop-event stream, the Figure-5 prefix rerun
+ * replays the control stream. The pass has two sources, chosen in one
+ * place: executing the built workload, or (under --trace-dir) streaming
+ * its exported control-trace container. Both feed the same observer set
+ * and the same derivations and checks. Every bench binary (one per
+ * paper table/figure) is a thin layer over this.
  */
 
 #ifndef LOOPSPEC_HARNESS_RUNNER_HH
@@ -40,8 +42,9 @@ struct RunOptions
     size_t clsEntries = 16;
     uint64_t maxInstrs = 0; //!< trace truncation (0 = run to Halt)
     bool csv = false;
-    /** Cross-check every replay-derived artifact against a direct
-     *  execution of the same configuration; fatal() on any mismatch. */
+    /** Cross-check every replay-derived artifact against one reference
+     *  (direct execution in process, an in-memory replay of the loaded
+     *  container under traceDir); fatal() on any mismatch. */
     bool checkReplay = false;
     /** Thread-pool width for sweeps and parallel workload runs
      *  (0 = one per hardware thread, 1 = fully serial). Results are

@@ -540,19 +540,6 @@ materializeOneWorkload(const SweepGrid &grid, const std::string &name,
     for (size_t c = 1; c < num_c; ++c)
         derive = derive || missing[c] || grid.ideal;
 
-    // Under --trace-dir the container is the control trace; a missing
-    // or malformed file, or a payload that fails mid-stream, comes back
-    // as an error string instead of a fatal() inside the pass.
-    std::unique_ptr<TraceFileStreamer> streamer;
-    if (from_traces) {
-        std::string err;
-        streamer = TraceFileStreamer::open(
-            traceFilePath(grid.traceDir, name, kControlTraceExt),
-            StreamConfig{}, &err);
-        if (!streamer)
-            return err;
-    }
-
     RunOptions opts;
     opts.scale = grid.scale;
     opts.maxInstrs = grid.maxInstrs;
@@ -603,6 +590,20 @@ materializeOneWorkload(const SweepGrid &grid, const std::string &name,
     rows[0].idealTpcPrefix = art.idealTpcPrefix;
     if (!derive)
         return "";
+
+    // Under --trace-dir the container is the control trace the walks
+    // below read. The pass already reported a missing or malformed
+    // file through pass_err; any open or mid-stream failure here also
+    // comes back as an error string, never a fatal().
+    std::unique_ptr<TraceFileStreamer> streamer;
+    if (from_traces) {
+        std::string err;
+        streamer = TraceFileStreamer::open(
+            traceFilePath(grid.traceDir, name, kControlTraceExt),
+            StreamConfig{}, &err);
+        if (!streamer)
+            return err;
+    }
 
     // Every further CLS size replays the same recorded control stream.
     // The sources advance round-robin in fixed-size chunks

@@ -214,16 +214,21 @@ TEST(RunWorkloadTraceDir, StreamedReplayMatchesDirectExecution)
     // the trace-dir fan-out carries two hot-plane targets.
     for (const char *spec : {"gshare:12", "tage:4/2-8"})
         flags.predictors.push_back(parsePredictorSpec(spec));
+    flags.recording = true;
+    // checkReplay makes the runner itself cross-check every derived
+    // artifact against its reference (fatal on divergence): direct
+    // execution and the live meters in process, an in-memory replay of
+    // the same file under --trace-dir. Both sources go through the same
+    // checks: detector events, predictor state, LET/LIT and the prefix.
+    opts.checkReplay = true;
     WorkloadArtifacts direct = runWorkload("compress", opts, flags);
 
     RunOptions replay = opts;
     replay.traceDir = dir;
-    // checkReplay makes the runner itself cross-check the streamed
-    // replay — detector events and predictor state — against an
-    // in-memory replay of the same file (fatal on divergence), so this
-    // also exercises that oracle.
-    replay.checkReplay = true;
     WorkloadArtifacts streamed = runWorkload("compress", replay, flags);
+
+    EXPECT_GT(direct.recording.loopEvents.size(), 0u);
+    EXPECT_EQ(compareRecordings(direct.recording, streamed.recording), "");
 
     EXPECT_EQ(streamed.totalInstrs, direct.totalInstrs);
     EXPECT_EQ(streamed.loopStats.staticLoops,
@@ -333,6 +338,22 @@ TEST(ParseRunOptionsDeathTest, MalformedClsIsFatal)
     const char *argv[] = {"prog", "--cls=16q"};
     EXPECT_EXIT(parseRunOptions(2, const_cast<char **>(argv), {}),
                 testing::ExitedWithCode(1), "malformed value '16q'");
+}
+
+TEST(ParseRunOptionsDeathTest, ZeroClsIsFatal)
+{
+    const char *argv[] = {"prog", "--cls=0"};
+    EXPECT_EXIT(parseRunOptions(2, const_cast<char **>(argv), {}),
+                testing::ExitedWithCode(1),
+                "--cls: CLS size 0 outside \\[1, 64\\]");
+}
+
+TEST(ParseRunOptionsDeathTest, ClsAboveCapacityIsFatal)
+{
+    const char *argv[] = {"prog", "--cls=65"};
+    EXPECT_EXIT(parseRunOptions(2, const_cast<char **>(argv), {}),
+                testing::ExitedWithCode(1),
+                "--cls: CLS size 65 outside \\[1, 64\\]");
 }
 
 TEST(ParseRunOptionsDeathTest, EmptyScaleValueIsFatal)

@@ -672,6 +672,16 @@ TEST(SweepServer, CorruptTracePayloadIsAnErrorNotACrash)
               MsgType::ErrResp);
     EXPECT_NE(response.find(bad_path), std::string::npos) << response;
 
+    // A single-CLS grid without the ideal prefix derives nothing, so
+    // only the functional pass reads the container: the same error
+    // frame must come back from the pass alone.
+    SweepRequest single = req;
+    single.grid = "policies=str;tus=2;cls=8";
+    EXPECT_EQ(request(MsgType::SweepReq, encodeSweepRequest(single),
+                      &response),
+              MsgType::ErrResp);
+    EXPECT_NE(response.find(bad_path), std::string::npos) << response;
+
     // The daemon survived: it still answers a ping and a good grid,
     // and the good grid is bit-identical to a direct sweep.
     EXPECT_EQ(request(MsgType::PingReq, "", &response), MsgType::PongResp);
