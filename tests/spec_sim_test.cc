@@ -657,6 +657,83 @@ TEST(SpecSimThrottleDeathTest, RejectsBadThresholds)
     EXPECT_DEATH(ThreadSpecSimulator(rec, cfg), "");
 }
 
+/** One grid of the golden pin: its axis spec, the cell-stat digest
+ *  the simulator produced when the pin was taken, and the SpecStats
+ *  counter the grid must drive non-zero (so the digest covers the code
+ *  path the grid is there for). */
+struct GoldenGrid
+{
+    const char *spec;
+    uint64_t digest;
+    uint64_t SpecStats::*exercised;
+};
+
+/** FNV-1a over every SpecStats counter of every cell, in cell order. */
+uint64_t
+digestCells(const SweepResult &r)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(r.cells.size());
+    for (const SweepCell &c : r.cells) {
+        const SpecStats &s = c.stats;
+        for (uint64_t v :
+             {s.totalInstrs, s.cycles, s.specEvents, s.threadsSpeculated,
+              s.threadsVerified, s.threadsSquashed, s.squashedByNestRule,
+              s.dataMisses, s.conflictSquashes, s.instrToVerifSum,
+              s.spawnsThrottled})
+            mix(v);
+    }
+    return h;
+}
+
+TEST(SpecSimGolden, CellStatsMatchPinnedDigests)
+{
+    // Pins every counter of every cell to the values the simulator
+    // produced before its state went dense (flat per-loop arrays, a
+    // slot table of live executions, ring-buffer thread queues). A
+    // change to the simulator's internals must leave these digests
+    // unchanged; a deliberate model change re-captures them from the
+    // printed values. cls=16,4 drives CLS overflows (live executions
+    // with equal recorded depths); let=4 is the address-keyed bounded
+    // trip predictor.
+    const GoldenGrid grids[] = {
+        {"policies=idle,str,str1,str2,str3;tus=2,4,8,16;cls=16,4",
+         0x98ffd87571b843eb, &SpecStats::squashedByNestRule},
+        {"predictors=bimodal,gshare:12;tus=2,4", 0x135acc37262e38a2,
+         &SpecStats::threadsVerified},
+        {"policies=str,str1,idle;tus=2,4,8;let=4", 0x3509477bfa6fcd91,
+         &SpecStats::threadsSquashed},
+        {"policies=str,str3;tus=2,4,8,16;spawnconf=3/2",
+         0xf3e51a781170022f, &SpecStats::spawnsThrottled},
+        {"policies=str;tus=2,4;dataspec=live,mem,all;datacost=20",
+         0x2069c7c1c030ed9e, &SpecStats::conflictSquashes},
+    };
+    for (const GoldenGrid &g : grids) {
+        SCOPED_TRACE(g.spec);
+        RunOptions opts;
+        opts.scale.factor = 0.1;
+        opts.benchmarks = {"compress", "li", "m88ksim", "synth.nest",
+                           "synth.irregular", "synth.memdep"};
+        SweepGrid grid = sweepGridFromOptions(opts);
+        ASSERT_EQ(applyGridSpec(g.spec, &grid), "");
+        SweepResult r = runSpecSweep(grid, 2);
+        ASSERT_TRUE(grid.hasCells());
+        uint64_t exercised = 0;
+        for (const SweepCell &c : r.cells)
+            exercised += c.stats.*g.exercised;
+        EXPECT_GT(exercised, 0u);
+        uint64_t digest = digestCells(r);
+        EXPECT_EQ(digest, g.digest) << strprintf(
+            "digest 0x%016llx", static_cast<unsigned long long>(digest));
+    }
+}
+
 /** Property sweep across policies and TU counts on a mixed program. */
 struct SweepParam
 {
