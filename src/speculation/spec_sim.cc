@@ -1,6 +1,7 @@
 #include "speculation/spec_sim.hh"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/logging.hh"
 
@@ -58,31 +59,43 @@ RecordingIndex::RecordingIndex(const LoopEventRecording &recording)
 {
     const auto &execs = recording.execs;
 
-    // Resolve parent execIds to indices once; the recording stores ids.
-    std::unordered_map<uint64_t, uint32_t> byId;
-    byId.reserve(execs.size());
-    for (uint32_t i = 0; i < execs.size(); ++i)
-        byId.emplace(execs[i].execId, i);
+    // One pass over the executions. The detector numbers executions in
+    // ExecStart order, which is the order of the execs, so the execId
+    // column is strictly increasing and a parent resolves by binary
+    // search. Each distinct loop address gets a dense id in order of
+    // first appearance. segOffset[x] is where exec x's iteration
+    // segments start in segBounds.
+    auto id_below = [](const ExecRecord &x, uint64_t id) {
+        return x.execId < id;
+    };
+    std::unordered_map<uint32_t, uint32_t> dense_loop;
     parentIdx.resize(execs.size(), noParent);
+    loopIds.resize(execs.size());
+    segOffset.resize(execs.size() + 1);
+    size_t total = 0;
     for (uint32_t i = 0; i < execs.size(); ++i) {
-        uint64_t p = execs[i].parentExecId;
-        if (p != 0) {
-            auto it = byId.find(p);
-            if (it != byId.end())
-                parentIdx[i] = it->second;
+        const ExecRecord &x = execs[i];
+        LOOPSPEC_ASSERT(i == 0 || execs[i - 1].execId < x.execId,
+                        "exec ids not increasing");
+        if (x.parentExecId != 0) {
+            auto it = std::lower_bound(execs.begin(), execs.end(),
+                                       x.parentExecId, id_below);
+            if (it != execs.end() && it->execId == x.parentExecId)
+                parentIdx[i] = static_cast<uint32_t>(it - execs.begin());
         }
+        loopIds[i] =
+            dense_loop
+                .emplace(x.loop, static_cast<uint32_t>(dense_loop.size()))
+                .first->second;
+        segOffset[i] = total;
+        total += x.iterBoundaries.size() + 1;
     }
+    segOffset[execs.size()] = total;
+    loopCount = static_cast<uint32_t>(dense_loop.size());
 
     // Flatten every execution's iteration boundaries, each followed by
     // its end boundary: iteration j of exec x spans
     // [segBounds[segOffset[x] + j-2], segBounds[segOffset[x] + j-1]).
-    size_t total = 0;
-    segOffset.resize(execs.size() + 1);
-    for (size_t i = 0; i < execs.size(); ++i) {
-        segOffset[i] = total;
-        total += execs[i].iterBoundaries.size() + 1;
-    }
-    segOffset[execs.size()] = total;
     segBounds.resize(total);
     for (size_t i = 0; i < execs.size(); ++i) {
         size_t off = segOffset[i];
@@ -125,34 +138,60 @@ ThreadSpecSimulator::ThreadSpecSimulator(
         branchPred = makePredictor(cfg.predictor);
 }
 
-bool
-ThreadSpecSimulator::spawnSuppressed(uint32_t loop)
+ThreadSpecSimulator::ActiveExec *
+ThreadSpecSimulator::findActive(uint32_t exec_idx)
 {
-    if (cfg.spawnConfidenceBits == 0)
-        return false;
-    auto it = spawnConf
-                  .emplace(loop, static_cast<uint8_t>(
-                                     cfg.spawnConfidenceThreshold))
-                  .first;
-    return it->second < cfg.spawnConfidenceThreshold;
+    for (unsigned i = numLive; i-- > 0;) {
+        if (slots[i].execIdx == exec_idx)
+            return &slots[i];
+    }
+    return nullptr;
+}
+
+ThreadSpecSimulator::ActiveExec &
+ThreadSpecSimulator::activate(uint32_t exec_idx)
+{
+    if (ActiveExec *ax = findActive(exec_idx))
+        return *ax;
+    if (numLive == slots.size())
+        slots.emplace_back(cfg.numTUs);
+    ActiveExec &ax = slots[numLive++];
+    ax.execIdx = exec_idx;
+    ax.loopId = idx->loopId(exec_idx);
+    return ax;
 }
 
 void
-ThreadSpecSimulator::trainSpawnConf(uint32_t loop, bool good)
+ThreadSpecSimulator::retire(ActiveExec &ax)
+{
+    LOOPSPEC_ASSERT(ax.queue.empty(), "retiring a speculating execution");
+    ActiveExec &last = slots[numLive - 1];
+    if (&ax != &last)
+        std::swap(ax, last);
+    --numLive;
+}
+
+bool
+ThreadSpecSimulator::spawnSuppressed(uint32_t loop_id) const
+{
+    if (cfg.spawnConfidenceBits == 0)
+        return false;
+    return spawnConf[loop_id] < cfg.spawnConfidenceThreshold;
+}
+
+void
+ThreadSpecSimulator::trainSpawnConf(uint32_t loop_id, bool good)
 {
     if (cfg.spawnConfidenceBits == 0)
         return;
     uint8_t max = static_cast<uint8_t>(
         (1u << cfg.spawnConfidenceBits) - 1);
-    auto it = spawnConf
-                  .emplace(loop, static_cast<uint8_t>(
-                                     cfg.spawnConfidenceThreshold))
-                  .first;
+    uint8_t &conf = spawnConf[loop_id];
     if (good) {
-        if (it->second < max)
-            ++it->second;
-    } else if (it->second > 0) {
-        --it->second;
+        if (conf < max)
+            ++conf;
+    } else if (conf > 0) {
+        --conf;
     }
 }
 
@@ -252,7 +291,7 @@ ThreadSpecSimulator::spawnCount(const ExecRecord &exec, uint32_t j,
         return branchPred->predictRun(exec.branchAddr, idle);
     }
 
-    TripPrediction p = predictor.predict(exec.loop);
+    TripPrediction p = predictor.predict(letKey(ax.execIdx));
     if (p.kind == TripPredictionKind::Unknown)
         return idle; // §3.1.2: nothing known -> use every idle TU
     // A prediction the execution has already outlived is disproven.
@@ -274,11 +313,10 @@ ThreadSpecSimulator::spawnCount(const ExecRecord &exec, uint32_t j,
 }
 
 void
-ThreadSpecSimulator::trySpawn(uint32_t exec_idx, uint32_t j,
+ThreadSpecSimulator::trySpawn(ActiveExec &ax, uint32_t j,
                               uint64_t boundary)
 {
-    const ExecRecord &exec = rec.execs[exec_idx];
-    ActiveExec &ax = active[exec_idx];
+    const ExecRecord &exec = rec.execs[ax.execIdx];
     // Threads are allocated in bursts: a loop with outstanding
     // speculative threads keeps them; a refill happens when the queue
     // drains. This matches the paper's threads-per-speculation counts
@@ -288,12 +326,11 @@ ThreadSpecSimulator::trySpawn(uint32_t exec_idx, uint32_t j,
     if (!ax.queue.empty())
         return;
     // Disabled by repeated nest-rule squashes (§2.3.2)?
-    auto pen = squashPenalty.find(exec.loop);
-    if (pen != squashPenalty.end() && pen->second.confident())
+    if (squashPenalty[ax.loopId].confident())
         return;
     // Throttled: the loop's verify/squash record says speculating on it
     // loses more than it wins right now.
-    if (spawnSuppressed(exec.loop)) {
+    if (spawnSuppressed(ax.loopId)) {
         ++stats.spawnsThrottled;
         return;
     }
@@ -312,7 +349,7 @@ ThreadSpecSimulator::trySpawn(uint32_t exec_idx, uint32_t j,
         t.spawnClock = clock;
         t.spawnBoundary = boundary;
         if (next_iter <= exec.iterCount) {
-            auto [s, e] = idx->segment(exec_idx, next_iter);
+            auto [s, e] = idx->segment(ax.execIdx, next_iter);
             t.segStart = s;
             t.segEnd = e;
             t.phantom = false;
@@ -333,7 +370,7 @@ ThreadSpecSimulator::squashAll(ActiveExec &ax, uint64_t boundary,
                                bool nest_rule)
 {
     if (nest_rule && !ax.queue.empty())
-        squashPenalty[ax.loop].up();
+        squashPenalty[ax.loopId].up();
     while (!ax.queue.empty()) {
         const SpecThread &t = ax.queue.front();
         ++stats.threadsSquashed;
@@ -341,15 +378,14 @@ ThreadSpecSimulator::squashAll(ActiveExec &ax, uint64_t boundary,
             ++stats.squashedByNestRule;
         if (boundary > t.spawnBoundary)
             stats.instrToVerifSum += boundary - t.spawnBoundary;
-        trainSpawnConf(ax.loop, false);
+        trainSpawnConf(ax.loopId, false);
         ax.queue.pop_front();
         --outstanding;
     }
 }
 
 void
-ThreadSpecSimulator::applyNestRule(const ExecRecord &exec,
-                                   uint64_t boundary)
+ThreadSpecSimulator::applyNestRule(uint32_t exec_idx, uint64_t boundary)
 {
     // STR(i) is a state condition on the CLS (§3.1.2): a speculated loop
     // may have at most i live non-speculated loops nested inside it.
@@ -359,16 +395,13 @@ ThreadSpecSimulator::applyNestRule(const ExecRecord &exec,
     // squashed, freeing its TUs for the inner loops. A squashed ancestor
     // becomes non-speculated and counts against ancestors above it.
     unsigned nonspec = 1; // the just-started execution itself
-    uint32_t anc_idx = idx->parent(
-        static_cast<uint32_t>(&exec - rec.execs.data()));
+    uint32_t anc_idx = idx->parent(exec_idx);
     while (anc_idx != RecordingIndex::noParent) {
-        auto it = active.find(anc_idx);
-        if (it != active.end()) {
-            ActiveExec &anc = it->second;
-            if (anc.queue.empty()) {
+        if (ActiveExec *anc = findActive(anc_idx)) {
+            if (anc->queue.empty()) {
                 ++nonspec;
             } else if (nonspec > cfg.nestLimit) {
-                squashAll(anc, boundary, true);
+                squashAll(*anc, boundary, true);
                 ++nonspec;
             }
             // A surviving speculated ancestor does not count against
@@ -382,8 +415,7 @@ void
 ThreadSpecSimulator::handleIterStart(const SimEvent &ev, bool at_front)
 {
     const ExecRecord &exec = rec.execs[ev.execIdx];
-    ActiveExec &ax = active[ev.execIdx];
-    ax.loop = exec.loop;
+    ActiveExec &ax = activate(ev.execIdx);
 
     // PRED: every iteration start is one retired *taken* outcome of the
     // loop's closing branch; train before the spawn decision below, as
@@ -407,10 +439,10 @@ ThreadSpecSimulator::handleIterStart(const SimEvent &ev, bool at_front)
             DataVerdict v = dataVerdict(exec, t);
             if (v == DataVerdict::Ok) {
                 ++stats.threadsVerified;
-                trainSpawnConf(exec.loop, true);
+                trainSpawnConf(ax.loopId, true);
             } else {
                 ++stats.threadsSquashed;
-                trainSpawnConf(exec.loop, false);
+                trainSpawnConf(ax.loopId, false);
                 applyDataViolation(ax, v, ev.boundary);
             }
         }
@@ -434,23 +466,21 @@ ThreadSpecSimulator::handleIterStart(const SimEvent &ev, bool at_front)
             // and the front jumps over it.
             ++stats.threadsVerified;
             frontPos += executedSoFar(t);
-            trainSpawnConf(exec.loop, true);
-            auto pen = squashPenalty.find(exec.loop);
-            if (pen != squashPenalty.end())
-                pen->second.down();
+            trainSpawnConf(ax.loopId, true);
+            squashPenalty[ax.loopId].down();
         } else {
             // Wrong inputs — a mispredicted live-in or a violated
             // memory dependence: discard the thread's work, the front
             // re-executes and the younger threads restart.
             ++stats.threadsSquashed;
-            trainSpawnConf(exec.loop, false);
+            trainSpawnConf(ax.loopId, false);
             applyDataViolation(ax, v, ev.boundary);
         }
     }
 
     // Speculation (§3.1.1): a loop iteration just started in the
     // non-speculative thread.
-    trySpawn(ev.execIdx, ev.iterIndex, ev.boundary);
+    trySpawn(ax, ev.iterIndex, ev.boundary);
 
     // STR(i): a loop execution that *wanted* speculative threads at its
     // first observable iteration but received none is a non-speculated
@@ -460,9 +490,9 @@ ThreadSpecSimulator::handleIterStart(const SimEvent &ev, bool at_front)
     if (cfg.policy == SpecPolicy::StrI && ev.iterIndex == 2 &&
         ax.queue.empty() &&
         spawnCount(exec, ev.iterIndex, ax, cfg.numTUs) > 0) {
-        applyNestRule(exec, ev.boundary);
+        applyNestRule(ev.execIdx, ev.boundary);
         // Freed TUs may immediately serve this inner loop.
-        trySpawn(ev.execIdx, ev.iterIndex, ev.boundary);
+        trySpawn(ax, ev.iterIndex, ev.boundary);
     }
 }
 
@@ -470,12 +500,11 @@ void
 ThreadSpecSimulator::handleExecEnd(const SimEvent &ev)
 {
     const ExecRecord &exec = rec.execs[ev.execIdx];
-    auto it = active.find(ev.execIdx);
-    if (it != active.end()) {
+    if (ActiveExec *ax = findActive(ev.execIdx)) {
         // Whatever is still outstanding speculates iterations that will
         // never exist: control misspeculation, squash (§3.1.3).
-        squashAll(it->second, exec.endBoundary, false);
-        active.erase(it);
+        squashAll(*ax, exec.endBoundary, false);
+        retire(*ax);
     }
     // The non-speculative thread updates the LET when the execution
     // completes; truncated executions (overflow loss, trace end) never
@@ -487,13 +516,15 @@ ThreadSpecSimulator::handleExecEnd(const SimEvent &ev)
         // produces no verify/squash outcomes to climb back on. Credit
         // it when the trip predictor would have nailed this execution —
         // checked against the prediction *before* it learns the count.
-        if (cfg.spawnConfidenceBits > 0 && spawnSuppressed(exec.loop)) {
-            TripPrediction p = predictor.predict(exec.loop);
+        uint32_t loop_id = idx->loopId(ev.execIdx);
+        uint32_t key = letKey(ev.execIdx);
+        if (spawnSuppressed(loop_id)) {
+            TripPrediction p = predictor.predict(key);
             if (p.kind != TripPredictionKind::Unknown &&
                 p.count == static_cast<int64_t>(exec.iterCount))
-                trainSpawnConf(exec.loop, true);
+                trainSpawnConf(loop_id, true);
         }
-        predictor.recordExecution(exec.loop, exec.iterCount);
+        predictor.recordExecution(key, exec.iterCount);
     }
     // PRED: only a Close termination retires the closing branch
     // not-taken; exits/returns leave the loop through a different
@@ -510,9 +541,13 @@ ThreadSpecSimulator::run()
     clock = 0;
     frontPos = 0;
     outstanding = 0;
-    active.clear();
-    squashPenalty.clear();
-    spawnConf.clear();
+    slots.clear();
+    numLive = 0;
+    predictor = IterCountPredictor(cfg.letEntries);
+    squashPenalty.assign(idx->numLoops(), SatCounter<2>{});
+    if (cfg.spawnConfidenceBits > 0)
+        spawnConf.assign(idx->numLoops(), static_cast<uint8_t>(
+                                              cfg.spawnConfidenceThreshold));
     if (branchPred)
         branchPred->reset();
 

@@ -19,9 +19,7 @@
 #define LOOPSPEC_SPECULATION_SPEC_SIM_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,10 +36,11 @@ namespace loopspec
 /**
  * Read-only per-recording lookup tables shared across simulator
  * configurations: the parent chain resolved from exec ids to indices,
- * and a flattened per-execution iteration-segment table (the boundary
- * list of each execution with its end boundary appended, so a segment
- * lookup is two adjacent loads instead of a branch on the last
- * iteration). Building these costs one pass over the recording; a
+ * a dense id per distinct loop address (so per-loop simulator state is
+ * a flat array), and a flattened per-execution iteration-segment table
+ * (the boundary list of each execution with its end boundary appended,
+ * so a segment lookup is two adjacent loads instead of a branch on the
+ * last iteration). Building these costs one pass over the recording; a
  * configuration sweep builds them once and hands the same index to
  * every (policy × TU-count × predictor) simulator instead of rebuilding
  * per instance.
@@ -59,6 +58,17 @@ class RecordingIndex
     {
         return parentIdx[exec_idx];
     }
+
+    /** Dense id of @p exec_idx's loop: distinct loop addresses are
+     *  numbered 0..numLoops()-1 in order of first execution. */
+    uint32_t
+    loopId(uint32_t exec_idx) const
+    {
+        return loopIds[exec_idx];
+    }
+
+    /** Distinct loops in the recording. */
+    uint32_t numLoops() const { return loopCount; }
 
     /** Trace segment of iteration @p j (2-based) of execution
      *  @p exec_idx; the iteration must exist. */
@@ -79,12 +89,15 @@ class RecordingIndex
     memoryBytes() const
     {
         return parentIdx.capacity() * sizeof(uint32_t) +
+               loopIds.capacity() * sizeof(uint32_t) +
                segOffset.capacity() * sizeof(size_t) +
                segBounds.capacity() * sizeof(uint64_t);
     }
 
   private:
     std::vector<uint32_t> parentIdx; //!< execIdx -> parent or noParent
+    std::vector<uint32_t> loopIds;   //!< execIdx -> dense loop id
+    uint32_t loopCount = 0;
     /** execIdx -> first segBounds slot; one sentinel entry at the end
      *  so segment() can bound-check against the next offset. */
     std::vector<size_t> segOffset;
@@ -133,15 +146,77 @@ class ThreadSpecSimulator
         uint64_t spawnBoundary;
     };
 
-    /** Per-live-execution speculation state. */
+    /**
+     * FIFO of one live execution's outstanding threads, in iteration
+     * order: a ring over storage allocated once. idleTUs() keeps every
+     * queue shorter than numTUs, so capacity numTUs never overflows.
+     */
+    class ThreadQueue
+    {
+      public:
+        explicit ThreadQueue(unsigned capacity) : ring(capacity) {}
+
+        bool empty() const { return count == 0; }
+        unsigned size() const { return count; }
+        const SpecThread &front() const { return ring[head]; }
+
+        void
+        push_back(const SpecThread &t)
+        {
+            LOOPSPEC_ASSERT(count < ring.size(), "thread queue full");
+            size_t tail = head + count;
+            if (tail >= ring.size())
+                tail -= ring.size();
+            ring[tail] = t;
+            ++count;
+        }
+
+        void
+        pop_front()
+        {
+            if (++head == ring.size())
+                head = 0;
+            --count;
+        }
+
+      private:
+        std::vector<SpecThread> ring;
+        unsigned head = 0;
+        unsigned count = 0;
+    };
+
+    /** Per-live-execution speculation state: one slot of the live
+     *  table, reused once its execution ends. */
     struct ActiveExec
     {
-        std::deque<SpecThread> queue; //!< outstanding, by iteration order
-        uint32_t loop = 0;            //!< loop address (disable keying)
+        explicit ActiveExec(unsigned tus) : queue(tus) {}
+
+        uint32_t execIdx = 0; //!< the live execution holding this slot
+        uint32_t loopId = 0;  //!< its dense loop id (per-loop state)
+        ThreadQueue queue;    //!< outstanding, by iteration order
     };
 
     void handleIterStart(const SimEvent &ev, bool at_front);
     void handleExecEnd(const SimEvent &ev);
+
+    /** The live slot of @p exec_idx, or nullptr when it is not live. */
+    ActiveExec *findActive(uint32_t exec_idx);
+
+    /** The live slot of @p exec_idx, taking a free one if needed. */
+    ActiveExec &activate(uint32_t exec_idx);
+
+    /** Free @p ax (its queue must be empty) for a later execution. */
+    void retire(ActiveExec &ax);
+
+    /** Trip-predictor key of @p exec_idx: the dense loop id in the
+     *  unbounded mode, the loop address in the bounded (LET) mode,
+     *  whose LoopTable reserves key 0 for a free slot. */
+    uint32_t
+    letKey(uint32_t exec_idx) const
+    {
+        return cfg.letEntries ? rec.execs[exec_idx].loop
+                              : idx->loopId(exec_idx);
+    }
 
     /** Instructions thread @p t has retired by the current clock. */
     uint64_t executedSoFar(const SpecThread &t) const;
@@ -158,16 +233,16 @@ class ThreadSpecSimulator
     unsigned spawnCount(const ExecRecord &exec, uint32_t j,
                         const ActiveExec &ax, unsigned idle) const;
 
-    /** Spawn up to policy for @p exec whose iteration @p j just began. */
-    void trySpawn(uint32_t exec_idx, uint32_t j, uint64_t boundary);
+    /** Spawn up to policy for @p ax, whose iteration @p j just began. */
+    void trySpawn(ActiveExec &ax, uint32_t j, uint64_t boundary);
 
     /** Squash every outstanding thread of @p ax (stats charged at
      *  @p boundary); frees their TUs. */
     void squashAll(ActiveExec &ax, uint64_t boundary, bool nest_rule);
 
-    /** STR(i): charge a non-speculated nested loop to its speculated
-     *  ancestors, squashing those over the limit. */
-    void applyNestRule(const ExecRecord &exec, uint64_t boundary);
+    /** STR(i): charge the non-speculated execution @p exec_idx to its
+     *  speculated ancestors, squashing those over the limit. */
+    void applyNestRule(uint32_t exec_idx, uint64_t boundary);
 
     /** How a thread's verification resolves under the data model. */
     enum class DataVerdict : uint8_t
@@ -201,14 +276,14 @@ class ThreadSpecSimulator
     void applyDataViolation(ActiveExec &ax, DataVerdict verdict,
                             uint64_t boundary);
 
-    /** Spawn throttle: is @p loop below the confidence threshold?
-     *  Always false with spawnConfidenceBits == 0. */
-    bool spawnSuppressed(uint32_t loop);
+    /** Spawn throttle: is dense loop @p loop_id below the confidence
+     *  threshold? Always false with spawnConfidenceBits == 0. */
+    bool spawnSuppressed(uint32_t loop_id) const;
 
-    /** Train @p loop's spawn-confidence counter: up on a verified
+    /** Train @p loop_id's spawn-confidence counter: up on a verified
      *  thread (or a correct trip prediction while suppressed), down on
      *  a squash. No-op with spawnConfidenceBits == 0. */
-    void trainSpawnConf(uint32_t loop, bool good);
+    void trainSpawnConf(uint32_t loop_id, bool good);
 
     unsigned idleTUs() const;
 
@@ -218,7 +293,11 @@ class ThreadSpecSimulator
     std::unique_ptr<RecordingIndex> ownedIndex; //!< two-arg ctor only
     const RecordingIndex *idx;                  //!< never null
 
-    std::unordered_map<uint32_t, ActiveExec> active;
+    /** Live executions in slots [0, numLive); the rest are free with
+     *  their queues allocated. At most one slot per CLS entry is live,
+     *  and lookups scan from the most recent activation. */
+    std::vector<ActiveExec> slots;
+    unsigned numLive = 0;
     IterCountPredictor predictor;
     /**
      * PRED policy only (null otherwise): the conventional baseline
@@ -231,27 +310,27 @@ class ThreadSpecSimulator
      */
     std::unique_ptr<BranchPredictor> branchPred;
     /**
-     * §2.3.2 speculation-disable state, keyed by loop address: a loop
-     * whose threads keep being squashed by the STR(i) nest rule without
-     * intervening verified speculations stops being speculated (the
-     * paper's "loops with a poor prediction rate may be good candidates
-     * to store in this [disable] table"). Verified threads decay the
-     * penalty. Only the nest rule charges it; plain STR/IDLE never
-     * disable anything.
+     * §2.3.2 speculation-disable state, indexed by dense loop id (a zero
+     * counter is a loop never charged): a loop whose threads keep being
+     * squashed by the STR(i) nest rule without intervening verified
+     * speculations stops being speculated (the paper's "loops with a
+     * poor prediction rate may be good candidates to store in this
+     * [disable] table"). Verified threads decay the penalty. Only the
+     * nest rule charges it; plain STR/IDLE never disable anything.
      */
-    std::unordered_map<uint32_t, SatCounter<2>> squashPenalty;
+    std::vector<SatCounter<2>> squashPenalty;
     /**
      * Per-loop spawn-throttle confidence (spawnConfidenceBits > 0
-     * only), keyed by loop address. A runtime-width saturating counter
-     * (the SatCounter template is compile-time-width): starts at the
-     * threshold, counts up on verified threads, down on squashes;
-     * spawning is suppressed while below the threshold. While a loop is
-     * suppressed it re-earns confidence through exact LET trip
+     * only; empty otherwise), indexed by dense loop id. A runtime-width
+     * saturating counter (the SatCounter template is compile-time-width):
+     * starts at the threshold, counts up on verified threads, down on
+     * squashes; spawning is suppressed while below the threshold. While
+     * a loop is suppressed it re-earns confidence through exact LET trip
      * predictions at execution ends — without that path a decayed loop
      * would never produce verify/squash outcomes again and throttling
      * would be permanent (docs/PREDICTORS.md "Spawn throttling").
      */
-    std::unordered_map<uint32_t, uint8_t> spawnConf;
+    std::vector<uint8_t> spawnConf;
     uint64_t clock = 0;
     uint64_t frontPos = 0;
     unsigned outstanding = 0; //!< live speculative threads (incl. phantom)

@@ -53,7 +53,12 @@ IterCountPredictor::recordExecution(uint32_t loop, uint64_t iters)
         update(*e, count);
         return;
     }
-    update(entries[loop], count);
+    if (loop >= entries.size())
+        entries.resize(static_cast<size_t>(loop) + 1);
+    Entry &e = entries[loop];
+    if (!e.hasLast)
+        ++recordedLoops;
+    update(e, count);
 }
 
 TripPrediction
@@ -65,16 +70,15 @@ IterCountPredictor::predict(uint32_t loop) const
             return {TripPredictionKind::Unknown, 0};
         return predictFrom(*e);
     }
-    auto it = entries.find(loop);
-    if (it == entries.end())
+    if (loop >= entries.size())
         return {TripPredictionKind::Unknown, 0};
-    return predictFrom(it->second);
+    return predictFrom(entries[loop]);
 }
 
 size_t
 IterCountPredictor::trackedLoops() const
 {
-    return bounded ? bounded->size() : entries.size();
+    return bounded ? bounded->size() : recordedLoops;
 }
 
 } // namespace loopspec

@@ -12,7 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "tables/loop_table.hh"
 #include "predict/sat_counter.hh"
@@ -42,6 +42,12 @@ struct TripPrediction
  * hardware table (fully associative, LRU on execution recording), which
  * bench_ablation part E sweeps to connect the Figure-4 LET hit ratios
  * to delivered TPC.
+ *
+ * The two modes key loops differently. The unbounded mode is a flat
+ * table indexed directly by the key, grown to the largest key recorded,
+ * so its keys should be dense loop ids (RecordingIndex::loopId). The
+ * bounded mode is a LoopTable searched by key, where key 0 marks a free
+ * slot, so its keys are loop addresses.
  */
 class IterCountPredictor
 {
@@ -69,8 +75,9 @@ class IterCountPredictor
     static void update(Entry &e, int64_t count);
     static TripPrediction predictFrom(const Entry &e);
 
-    std::unordered_map<uint32_t, Entry> entries; //!< unbounded mode
-    std::unique_ptr<LoopTable<Entry>> bounded;   //!< finite-LET mode
+    std::vector<Entry> entries; //!< unbounded mode, indexed by key
+    size_t recordedLoops = 0;   //!< unbounded entries with hasLast
+    std::unique_ptr<LoopTable<Entry>> bounded; //!< finite-LET mode
 };
 
 } // namespace loopspec

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "dataspec/conflict_profiler.hh"
 #include "harness/runner.hh"
 #include "speculation/spec_sim.hh"
@@ -731,6 +733,70 @@ TEST(SpecSimGolden, CellStatsMatchPinnedDigests)
         uint64_t digest = digestCells(r);
         EXPECT_EQ(digest, g.digest) << strprintf(
             "digest 0x%016llx", static_cast<unsigned long long>(digest));
+    }
+}
+
+TEST(SpecSimIndex, DenseLoopIdsFollowFirstAppearance)
+{
+    LoopEventRecording rec = record(nestedLoops(6, 4));
+    RecordingIndex index(rec);
+    std::map<uint32_t, uint32_t> ids; // loop address -> expected id
+    for (uint32_t i = 0; i < rec.execs.size(); ++i) {
+        auto it = ids.emplace(rec.execs[i].loop,
+                              static_cast<uint32_t>(ids.size()))
+                      .first;
+        EXPECT_EQ(index.loopId(i), it->second) << "exec " << i;
+    }
+    EXPECT_EQ(index.numLoops(), 2u);
+    EXPECT_EQ(index.numLoops(), ids.size());
+}
+
+TEST(SpecSimIndex, ParentsResolveToExecIndices)
+{
+    LoopEventRecording rec = record(nestedLoops(6, 4));
+    RecordingIndex index(rec);
+    unsigned nested = 0;
+    for (uint32_t i = 0; i < rec.execs.size(); ++i) {
+        uint32_t p = index.parent(i);
+        if (rec.execs[i].parentExecId == 0) {
+            EXPECT_EQ(p, RecordingIndex::noParent);
+            continue;
+        }
+        ASSERT_NE(p, RecordingIndex::noParent);
+        EXPECT_EQ(rec.execs[p].execId, rec.execs[i].parentExecId);
+        ++nested;
+    }
+    // Every inner execution but the first, which ran before the outer
+    // loop was detected at the end of its first iteration.
+    EXPECT_EQ(nested, 5u);
+}
+
+TEST(SpecSimIndexDeathTest, RejectsUnorderedExecIds)
+{
+    // Parents resolve by binary search over the exec-id column, which
+    // the detector fills in increasing order.
+    LoopEventRecording rec = record(nestedLoops(6, 4));
+    ASSERT_GE(rec.execs.size(), 2u);
+    std::swap(rec.execs[0].execId, rec.execs[1].execId);
+    EXPECT_DEATH(RecordingIndex{rec}, "exec ids not increasing");
+}
+
+TEST(SpecSim, RunTwiceGivesIdenticalStats)
+{
+    // run() starts from a cold machine every time: trip predictor,
+    // squash penalties, spawn confidence and live executions.
+    LoopEventRecording rec = record(nestedLoops(40, 6, 3));
+    for (size_t let : {0u, 4u}) {
+        SCOPED_TRACE(let);
+        SpecConfig cfg{8, SpecPolicy::StrI, 1};
+        cfg.letEntries = let;
+        cfg.spawnConfidenceBits = 2;
+        cfg.spawnConfidenceThreshold = 2;
+        ThreadSpecSimulator sim(rec, cfg);
+        SpecStats first = sim.run();
+        SpecStats second = sim.run();
+        EXPECT_GT(first.threadsVerified, 0u);
+        EXPECT_TRUE(first == second);
     }
 }
 
