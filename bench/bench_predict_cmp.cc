@@ -164,12 +164,12 @@ main(int argc, char **argv)
         fatal("--predictors: empty list");
     std::vector<unsigned> tus = parseTus(args->getString("tus", "2,4,8"));
 
-    // Default scope: the whole Table-1 suite plus the generated
-    // synth.* families — the irregular-control regime where the
-    // baselines and the loop tables disagree most.
-    std::vector<std::string> names = opts.benchmarks;
-    if (names.empty()) {
-        names = workloadNames();
+    // Default scope in process: the whole Table-1 suite plus the
+    // generated synth.* families — the irregular-control regime where
+    // the baselines and the loop tables disagree most. Under --trace-dir
+    // the default is whatever the directory holds, as for every bench.
+    std::vector<std::string> names = opts.selected();
+    if (opts.benchmarks.empty() && opts.traceDir.empty()) {
         for (const std::string &n : syntheticWorkloadNames())
             names.push_back(n);
     }

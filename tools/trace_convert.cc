@@ -24,6 +24,7 @@
  * diagnostic; exit status 1.
  */
 
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -67,6 +68,11 @@ cmdExport(int argc, char **argv)
         fatal("export needs --out <directory>");
     TraceEncoding enc =
         traceEncodingFromName(args->getString("encoding", "raw"));
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        fatal("cannot create directory %s: %s", dir.c_str(),
+              ec.message().c_str());
 
     CollectFlags flags;
     flags.controlTrace = true;
