@@ -61,10 +61,14 @@ RecordingIndex::RecordingIndex(const LoopEventRecording &recording)
 
     // One pass over the executions. The detector numbers executions in
     // ExecStart order, which is the order of the execs, so the execId
-    // column is strictly increasing and a parent resolves by binary
-    // search. Each distinct loop address gets a dense id in order of
-    // first appearance. segOffset[x] is where exec x's iteration
-    // segments start in segBounds.
+    // column is strictly increasing: a parent (started earlier) sits at
+    // or below index parentExecId - first, exactly there when the ids
+    // are consecutive, as the detector's are. The probe there settles
+    // the common case; a binary search below it covers gaps. Each
+    // distinct loop address gets a dense id in order of first
+    // appearance. segOffset[x] is where exec x's iteration segments
+    // start in segBounds.
+    const uint64_t first = execs.empty() ? 0 : execs[0].execId;
     auto id_below = [](const ExecRecord &x, uint64_t id) {
         return x.execId < id;
     };
@@ -77,11 +81,17 @@ RecordingIndex::RecordingIndex(const LoopEventRecording &recording)
         const ExecRecord &x = execs[i];
         LOOPSPEC_ASSERT(i == 0 || execs[i - 1].execId < x.execId,
                         "exec ids not increasing");
-        if (x.parentExecId != 0) {
-            auto it = std::lower_bound(execs.begin(), execs.end(),
-                                       x.parentExecId, id_below);
-            if (it != execs.end() && it->execId == x.parentExecId)
-                parentIdx[i] = static_cast<uint32_t>(it - execs.begin());
+        const uint64_t p = x.parentExecId;
+        if (p != 0 && p >= first && p < x.execId) {
+            size_t hi = static_cast<size_t>(p - first);
+            if (hi < i && execs[hi].execId == p) {
+                parentIdx[i] = static_cast<uint32_t>(hi);
+            } else {
+                auto end = execs.begin() + std::min<size_t>(hi, i);
+                auto it = std::lower_bound(execs.begin(), end, p, id_below);
+                if (it != end && it->execId == p)
+                    parentIdx[i] = static_cast<uint32_t>(it - execs.begin());
+            }
         }
         loopIds[i] =
             dense_loop

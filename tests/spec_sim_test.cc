@@ -753,22 +753,31 @@ TEST(SpecSimIndex, DenseLoopIdsFollowFirstAppearance)
 
 TEST(SpecSimIndex, ParentsResolveToExecIndices)
 {
-    LoopEventRecording rec = record(nestedLoops(6, 4));
-    RecordingIndex index(rec);
-    unsigned nested = 0;
-    for (uint32_t i = 0; i < rec.execs.size(); ++i) {
-        uint32_t p = index.parent(i);
-        if (rec.execs[i].parentExecId == 0) {
-            EXPECT_EQ(p, RecordingIndex::noParent);
-            continue;
+    // The detector's exec ids are consecutive; spreading them out
+    // (id -> 3 * id) leaves gaps, which the index must resolve too.
+    for (uint64_t spread : {1u, 3u}) {
+        SCOPED_TRACE(spread);
+        LoopEventRecording rec = record(nestedLoops(6, 4));
+        for (ExecRecord &x : rec.execs) {
+            x.execId *= spread;
+            x.parentExecId *= spread;
         }
-        ASSERT_NE(p, RecordingIndex::noParent);
-        EXPECT_EQ(rec.execs[p].execId, rec.execs[i].parentExecId);
-        ++nested;
+        RecordingIndex index(rec);
+        unsigned nested = 0;
+        for (uint32_t i = 0; i < rec.execs.size(); ++i) {
+            uint32_t p = index.parent(i);
+            if (rec.execs[i].parentExecId == 0) {
+                EXPECT_EQ(p, RecordingIndex::noParent);
+                continue;
+            }
+            ASSERT_NE(p, RecordingIndex::noParent);
+            EXPECT_EQ(rec.execs[p].execId, rec.execs[i].parentExecId);
+            ++nested;
+        }
+        // Every inner execution but the first, which ran before the
+        // outer loop was detected at the end of its first iteration.
+        EXPECT_EQ(nested, 5u);
     }
-    // Every inner execution but the first, which ran before the outer
-    // loop was detected at the end of its first iteration.
-    EXPECT_EQ(nested, 5u);
 }
 
 TEST(SpecSimIndexDeathTest, RejectsUnorderedExecIds)
