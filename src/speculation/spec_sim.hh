@@ -295,7 +295,10 @@ class ThreadSpecSimulator
 
     /** Live executions in slots [0, numLive); the rest are free with
      *  their queues allocated. At most one slot per CLS entry is live,
-     *  and lookups scan from the most recent activation. */
+     *  and lookups scan from the most recent activation. Recorded
+     *  depths cannot index the table: after a CLS overflow drops the
+     *  deepest entry, a new execution reuses the top's depth while the
+     *  old top is still live. */
     std::vector<ActiveExec> slots;
     unsigned numLive = 0;
     IterCountPredictor predictor;

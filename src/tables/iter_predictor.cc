@@ -55,10 +55,7 @@ IterCountPredictor::recordExecution(uint32_t loop, uint64_t iters)
     }
     if (loop >= entries.size())
         entries.resize(static_cast<size_t>(loop) + 1);
-    Entry &e = entries[loop];
-    if (!e.hasLast)
-        ++recordedLoops;
-    update(e, count);
+    update(entries[loop], count);
 }
 
 TripPrediction
@@ -78,7 +75,12 @@ IterCountPredictor::predict(uint32_t loop) const
 size_t
 IterCountPredictor::trackedLoops() const
 {
-    return bounded ? bounded->size() : recordedLoops;
+    if (bounded)
+        return bounded->size();
+    size_t n = 0;
+    for (const Entry &e : entries)
+        n += e.hasLast;
+    return n;
 }
 
 } // namespace loopspec

@@ -76,7 +76,6 @@ class IterCountPredictor
     static TripPrediction predictFrom(const Entry &e);
 
     std::vector<Entry> entries; //!< unbounded mode, indexed by key
-    size_t recordedLoops = 0;   //!< unbounded entries with hasLast
     std::unique_ptr<LoopTable<Entry>> bounded; //!< finite-LET mode
 };
 

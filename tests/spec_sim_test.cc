@@ -696,10 +696,8 @@ digestCells(const SweepResult &r)
 
 TEST(SpecSimGolden, CellStatsMatchPinnedDigests)
 {
-    // Pins every counter of every cell to the values the simulator
-    // produced before its state went dense (flat per-loop arrays, a
-    // slot table of live executions, ring-buffer thread queues). A
-    // change to the simulator's internals must leave these digests
+    // Pins every counter of every cell. A change to the simulator's
+    // internals (its tables, queues, lookups) must leave these digests
     // unchanged; a deliberate model change re-captures them from the
     // printed values. cls=16,4 drives CLS overflows (live executions
     // with equal recorded depths); let=4 is the address-keyed bounded
