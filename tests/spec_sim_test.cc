@@ -780,8 +780,8 @@ TEST(SpecSimIndex, ParentsResolveToExecIndices)
 
 TEST(SpecSimIndexDeathTest, RejectsUnorderedExecIds)
 {
-    // Parents resolve by binary search over the exec-id column, which
-    // the detector fills in increasing order.
+    // Parents resolve by position in the exec-id column (a probe, then
+    // a binary search), which the detector fills in increasing order.
     LoopEventRecording rec = record(nestedLoops(6, 4));
     ASSERT_GE(rec.execs.size(), 2u);
     std::swap(rec.execs[0].execId, rec.execs[1].execId);
