@@ -406,6 +406,75 @@ TEST(ConflictProfilerProperty, AnnotateSizesAndCopiesPerExecution)
     }
 }
 
+// --- a real trace cut inside a loop -------------------------------------
+
+TEST(ConflictProfiler, TruncatedTraceEndingInALoadReportsItsViolation)
+{
+    // Each iteration loads the word the previous one stored. The trace
+    // is cut right after the 4th load, so that load is the last retired
+    // instruction and its loop is still live when the detector flushes
+    // it at trace end. The profile must still see the load read
+    // iteration 3's store: the trace-end boundary (== totalInstrs) lies
+    // past every access.
+    ProgramBuilder b("t", 1);
+    b.beginFunction("main");
+    b.li(regs::r1, 0);
+    b.li(regs::r2, 10);
+    b.li(regs::r5, 0);
+    b.countedLoop(regs::r1, regs::r2, [&](const LoopCtx &) {
+        b.ld(regs::r6, regs::r5);
+        b.addi(regs::r6, regs::r6, 1);
+        b.st(regs::r6, regs::r5);
+    });
+    b.halt();
+    const Program prog = b.build();
+
+    uint64_t cut_seq = 0;
+    {
+        TraceEngine engine(prog);
+        MemTraceRecorder mem;
+        engine.addObserver(&mem);
+        engine.run();
+        const MemAccessTrace full = mem.take();
+        int loads = 0;
+        for (const MemAccess &a : full.accesses) {
+            if (!a.isStore && ++loads == 4) {
+                cut_seq = a.seq;
+                break;
+            }
+        }
+        ASSERT_EQ(loads, 4);
+    }
+
+    EngineConfig ecfg;
+    ecfg.maxInstrs = cut_seq + 1;
+    TraceEngine engine(prog, ecfg);
+    LoopDetector det({16});
+    LoopEventRecorder recorder;
+    det.addListener(&recorder);
+    MemTraceRecorder mem;
+    engine.addObserver(&det);
+    engine.addObserver(&mem);
+    engine.run();
+    const LoopEventRecording rec = recorder.take();
+    const MemAccessTrace trace = mem.take();
+
+    ASSERT_EQ(rec.totalInstrs, cut_seq + 1);
+    ASSERT_EQ(rec.execs.size(), 1u);
+    EXPECT_EQ(rec.execs[0].endReason, ExecEndReason::TraceEnd);
+    ASSERT_FALSE(trace.accesses.empty());
+    EXPECT_EQ(trace.accesses.back().seq, cut_seq);
+    EXPECT_FALSE(trace.accesses.back().isStore);
+
+    const ConflictProfile p = profileConflicts(rec, trace);
+    ASSERT_FALSE(p.violations.empty());
+    const ConflictViolation &last = p.violations.back();
+    EXPECT_EQ(last.seq, cut_seq);
+    EXPECT_EQ(last.execId, rec.execs[0].execId);
+    EXPECT_EQ(last.iterIndex, 4u);
+    EXPECT_EQ(last.srcIter, 3u);
+}
+
 // --- live-in predictors -------------------------------------------------
 
 TEST(LiveInPredictorProperty, ConvergesOnStridedSequences)
