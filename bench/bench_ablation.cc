@@ -12,10 +12,10 @@
  * programs); --benchmarks overrides.
  *
  * Each workload is functionally executed ONCE; every ablation point is
- * derived by replay: the CLS-capacity sweep re-runs the detector over
- * the recorded control-event trace, the replacement-policy comparison
- * replays the recorded loop-event stream into fresh meters, and the
- * speculation sweeps reuse the event recording.
+ * derived from that pass: the CLS-capacity sweep and the
+ * replacement-policy comparison re-run a detector over the recorded
+ * control-event trace, and the speculation sweeps reuse the event
+ * recording.
  */
 
 #include <iostream>
@@ -33,14 +33,17 @@ using namespace loopspec;
 namespace
 {
 
-/** Detector re-run over the recorded control stream at @p cls_entries. */
+/** Detector re-run over the first @p max_instrs instructions (0 = all)
+ *  of the recorded control stream at @p cls_entries. Under --trace-dir
+ *  the trace is the whole container, so the window must be reapplied. */
 LoopStatsReport
-clsSweepPoint(const ControlTrace &trace, size_t cls_entries)
+clsSweepPoint(const ControlTrace &trace, size_t cls_entries,
+              uint64_t max_instrs)
 {
     LoopDetector det({cls_entries});
     LoopStats stats;
     det.addListener(&stats);
-    replayControlTrace(trace, det);
+    replayControlTrace(trace, det, max_instrs);
     return stats.report();
 }
 
@@ -72,7 +75,8 @@ main(int argc, char **argv)
         a.row();
         a.cell(name);
         for (size_t cls : {4u, 8u, 12u, 16u}) {
-            LoopStatsReport r = clsSweepPoint(art.controlTrace, cls);
+            LoopStatsReport r =
+                clsSweepPoint(art.controlTrace, cls, opts.maxInstrs);
             a.cell(strprintf("%llu/%llu",
                              static_cast<unsigned long long>(
                                  r.overflowDrops),
@@ -105,7 +109,8 @@ main(int argc, char **argv)
     // (d) LRU vs the §2.3.2 nest-aware replacement: the paper evaluated
     // this variant and found "the improvement on the hit ratio is
     // negligible with respect to the LRU algorithm". The meters consume
-    // loop events only, so they run off the recorded stream.
+    // loop events only, so a detector replaying the recorded control
+    // trace feeds them.
     std::cout << "\nAblation D: LET/LIT replacement policy "
                  "(hit% LRU vs nest-aware, 4 entries)\n";
     TableWriter dt({"bench", "LET lru", "LET nest", "LIT lru",
@@ -116,8 +121,12 @@ main(int argc, char **argv)
         LetHitMeter let_nest(4, TableReplacement::NestAware);
         LitHitMeter lit_lru(4, TableReplacement::Lru);
         LitHitMeter lit_nest(4, TableReplacement::NestAware);
-        replayLoopEvents(art.recording,
-                         {&let_lru, &let_nest, &lit_lru, &lit_nest});
+        LoopDetector det({opts.clsEntries});
+        det.addListener(&let_lru);
+        det.addListener(&let_nest);
+        det.addListener(&lit_lru);
+        det.addListener(&lit_nest);
+        replayControlTrace(art.controlTrace, det, opts.maxInstrs);
         dt.row();
         dt.cell(name);
         dt.cell(100.0 * let_lru.result().ratio(), 2);

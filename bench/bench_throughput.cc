@@ -17,9 +17,8 @@
  *             planes only, since every rider reports
  *             BatchNeed::HotPlanes) through the token-threaded fill
  *             loop and the detector's prefetched control-index walk.
- *             Only stats and the recorder ride the trace; the 8 meters
- *             are derived afterwards by replaying the recorded
- *             loop-event stream (replay time is included).
+ *             Stats, the 8 meters and the recorder all ride the
+ *             detector live, as in runWorkload.
  *   replay_seq - the derived-configuration stage of a record/replay
  *             sweep without interleaving: four detectors at different
  *             CLS sizes (stats + ideal-TPC each) re-run one after
@@ -249,22 +248,22 @@ main(int argc, char **argv)
     });
 
     // Batched fast path, exactly the runWorkload pipeline: predecoded
-    // run() with stats + recorder live, meters derived by loop-event
-    // replay (timed).
+    // run() with stats, meters and recorder live.
     PathResult batched_soa = best(reps, [&] {
         PathResult r;
         TraceEngine engine(prog, ecfg);
         LoopDetector det({opts.clsEntries});
         LoopStats stats;
         LoopEventRecorder recorder;
+        MeterBank meters;
         det.addListener(&stats);
+        for (auto *m : meters.listeners())
+            det.addListener(m);
         det.addListener(&recorder);
         engine.addObserver(&det);
-        MeterBank meters;
         double t0 = now();
         r.instrs = engine.run();
         LoopEventRecording rec = recorder.take();
-        replayLoopEvents(rec, meters.listeners());
         r.seconds = now() - t0;
         r.stats = stats.report();
         r.meterHits = meters.totalHits();

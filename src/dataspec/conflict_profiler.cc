@@ -21,20 +21,19 @@ struct Writer
 /** One live (nested) loop execution during the merge walk. */
 struct Frame
 {
-    uint64_t execId = 0;
-    uint32_t loop = 0;
+    uint32_t execIdx = 0; //!< index into LoopEventRecording::execs
     uint32_t curIter = 2; //!< detection makes iteration 2 the first seen
     std::unordered_map<uint64_t, Writer> writers;
 };
 
-int
-findFrame(const std::vector<Frame> &frames, uint64_t exec_id)
+size_t
+findFrame(const std::vector<Frame> &frames, uint32_t exec_idx)
 {
     for (size_t i = frames.size(); i-- > 0;) {
-        if (frames[i].execId == exec_id)
-            return static_cast<int>(i);
+        if (frames[i].execIdx == exec_idx)
+            return i;
     }
-    return -1;
+    panic("loop event for an execution with no open frame");
 }
 
 } // namespace
@@ -53,41 +52,32 @@ profileConflicts(const LoopEventRecording &recording,
     std::map<uint32_t, uint64_t> edge_overflow;
 
     std::vector<Frame> frames;
-    const std::vector<LoopEventRec> &evs = recording.loopEvents;
+    const std::vector<SimEvent> &evs = recording.events;
     size_t ei = 0;
 
-    auto apply_event = [&frames](const LoopEventRec &e) {
-        switch (e.kind) {
-        case LoopEventKind::ExecStart: {
+    // The detector emits ExecStart immediately followed by IterStart(2)
+    // at the same position, so iteration 2's start opens a frame.
+    auto apply_event = [&frames](const SimEvent &e) {
+        if (e.kind == SimEventKind::ExecEnd) {
+            frames.erase(frames.begin() +
+                         static_cast<long>(findFrame(frames, e.execIdx)));
+        } else if (e.iterIndex == 2) {
             Frame f;
-            f.execId = e.execId;
-            f.loop = e.loop;
+            f.execIdx = e.execIdx;
             frames.push_back(std::move(f));
-            break;
-        }
-        case LoopEventKind::IterStart: {
-            int idx = findFrame(frames, e.execId);
-            LOOPSPEC_ASSERT(idx >= 0, "IterStart for unknown frame");
-            frames[static_cast<size_t>(idx)].curIter = e.aux;
-            break;
-        }
-        case LoopEventKind::IterEnd:
-            break;
-        case LoopEventKind::ExecEnd: {
-            int idx = findFrame(frames, e.execId);
-            LOOPSPEC_ASSERT(idx >= 0, "ExecEnd for unknown frame");
-            frames.erase(frames.begin() + idx);
-            break;
-        }
-        case LoopEventKind::SingleIter:
-            break;
+        } else {
+            frames[findFrame(frames, e.execIdx)].curIter = e.iterIndex;
         }
     };
 
     for (const MemAccess &a : mem.accesses) {
-        // Event positions are boundaries (first instruction of the new
-        // state), so an event at pos == a.seq applies before the access.
-        while (ei < evs.size() && evs[ei].pos <= a.seq)
+        // An event's boundary is the first instruction of the new state,
+        // so an event at boundary == a.seq applies before the access.
+        // Events come from control instructions, which access no memory
+        // (the periodic CLS flush, off in every sweep, is the one
+        // exception), and a trace-end boundary is clamped to
+        // totalInstrs, past every access.
+        while (ei < evs.size() && evs[ei].boundary <= a.seq)
             apply_event(evs[ei++]);
         if (frames.empty())
             continue;
@@ -108,7 +98,8 @@ profileConflicts(const LoopEventRecording &recording,
 
             // Cross-iteration RAW: iteration curIter reads what
             // iteration w.iter stored.
-            auto &loop_edges = edge_counts[f.loop];
+            const ExecRecord &x = recording.execs[f.execIdx];
+            auto &loop_edges = edge_counts[x.loop];
             auto key = std::make_pair(w.pc, a.pc);
             auto eit = loop_edges.find(key);
             if (eit != loop_edges.end()) {
@@ -116,14 +107,14 @@ profileConflicts(const LoopEventRecording &recording,
             } else if (loop_edges.size() < config.maxEdgesPerLoop) {
                 loop_edges.emplace(key, 1);
             } else {
-                ++edge_overflow[f.loop];
+                ++edge_overflow[x.loop];
             }
 
             ++out.totalViolations;
             if (out.violations.size() < config.maxViolations) {
                 ConflictViolation v;
                 v.seq = a.seq;
-                v.execId = f.execId;
+                v.execId = x.execId;
                 v.iterIndex = f.curIter;
                 v.srcIter = w.iter;
                 v.loadPc = a.pc;
@@ -131,7 +122,7 @@ profileConflicts(const LoopEventRecording &recording,
                 out.violations.push_back(v);
             }
 
-            std::vector<uint32_t> &dep = out.iterDepSrc[f.execId];
+            std::vector<uint32_t> &dep = out.iterDepSrc[x.execId];
             size_t idx = static_cast<size_t>(f.curIter) - 2 +
                          (config.injectIterOffByOne ? 1 : 0);
             if (dep.size() <= idx)

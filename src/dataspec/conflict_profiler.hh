@@ -109,11 +109,12 @@ struct ConflictProfile
 };
 
 /**
- * Build the conflict profile: merge-walk the recording's loop-event
- * stream against the memory-access stream, tracking per-execution
- * last-writer maps. Only detected iterations are observable (the
- * detector sees a loop from its second iteration on), matching what the
- * modelled hardware could act upon.
+ * Build the conflict profile: merge-walk the recording's simulator
+ * events (iteration starts and execution ends, by boundary) against the
+ * memory-access stream, tracking per-execution last-writer maps. Only
+ * detected iterations are observable (the detector sees a loop from its
+ * second iteration on), matching what the modelled hardware could act
+ * upon.
  */
 ConflictProfile profileConflicts(const LoopEventRecording &recording,
                                  const MemAccessTrace &mem,
@@ -128,9 +129,8 @@ std::string compareConflictProfiles(const ConflictProfile &a,
  * Copy the profile's per-iteration dependence sources into the
  * recording's ExecRecords (ExecRecord::iterDepSrc), sized to each
  * execution's iteration count. Enables the simulator's Conflicts/Full
- * data modes. The annotation is a derived artifact: it is not
- * serialised by LoopEventRecording::save and not compared by
- * compareRecordings.
+ * data modes. The annotation is a derived artifact: it is not compared
+ * by compareRecordings.
  */
 void annotateConflicts(LoopEventRecording *recording,
                        const ConflictProfile &profile);

@@ -101,6 +101,24 @@ hitRatioTableSizes()
 namespace
 {
 
+/** Figure 4's LET and LIT hit meters, one of each per table size,
+ *  listening to @p det. */
+struct MeterBank
+{
+    std::vector<std::unique_ptr<LetHitMeter>> lets;
+    std::vector<std::unique_ptr<LitHitMeter>> lits;
+
+    explicit MeterBank(LoopDetector &det)
+    {
+        for (size_t sz : hitRatioTableSizes()) {
+            lets.push_back(std::make_unique<LetHitMeter>(sz));
+            lits.push_back(std::make_unique<LitHitMeter>(sz));
+            det.addListener(lets.back().get());
+            det.addListener(lits.back().get());
+        }
+    }
+};
+
 void
 checkMeterMatch(const char *what, const std::string &name, size_t entries,
                 const HitRatioResult &direct, const HitRatioResult &replay)
@@ -113,6 +131,19 @@ checkMeterMatch(const char *what, const std::string &name, size_t entries,
               static_cast<unsigned long long>(direct.accesses),
               static_cast<unsigned long long>(replay.hits),
               static_cast<unsigned long long>(replay.accesses));
+    }
+}
+
+/** Fatal unless two meter banks hold identical results. */
+void
+checkMetersMatch(const std::string &name, const MeterBank &direct,
+                 const MeterBank &replay)
+{
+    for (size_t i = 0; i < direct.lets.size(); ++i) {
+        checkMeterMatch("LET", name, direct.lets[i]->numEntries(),
+                        direct.lets[i]->result(), replay.lets[i]->result());
+        checkMeterMatch("LIT", name, direct.lits[i]->numEntries(),
+                        direct.lits[i]->result(), replay.lits[i]->result());
     }
 }
 
@@ -243,12 +274,15 @@ runWorkload(const std::string &name, const RunOptions &opts,
 
     // --- Single pass ---------------------------------------------------
     // Everything an experiment needs is gathered here; derived
-    // configurations below run off the recordings. Under checkReplay a
-    // recording and the control trace always ride along: replaying the
-    // one into a fresh detector must reproduce the other, which covers
-    // the whole detector event stream in one oracle.
-    const bool need_recorder =
-        flags.recording || flags.hitRatios || opts.checkReplay;
+    // configurations below replay the control trace. Under checkReplay
+    // a recording, the Figure-4 meter bank and the control trace always
+    // ride along: replaying the trace into a fresh detector with its own
+    // recorder and meters must reproduce both. The recording covers the
+    // events the simulator reads; the meters also hear IterEnd and
+    // single-iteration executions, so together they cover the whole
+    // detector event stream.
+    const bool need_recorder = flags.recording || opts.checkReplay;
+    const bool need_meters = flags.hitRatios || opts.checkReplay;
     const bool need_ctrace = flags.controlTrace || opts.checkReplay ||
                              (flags.ideal && !streamed);
 
@@ -262,21 +296,12 @@ runWorkload(const std::string &name, const RunOptions &opts,
     PredictorMeter predictorMeter(flags.predictors);
     MemTraceRecorder memRecorder;
 
-    // Cross-check mode: meters also ride the pass for comparison.
-    std::vector<std::unique_ptr<LetHitMeter>> liveLets;
-    std::vector<std::unique_ptr<LitHitMeter>> liveLits;
-
     LoopDetector detector({opts.clsEntries});
     if (flags.loopStats)
         detector.addListener(&stats);
-    if (flags.hitRatios && opts.checkReplay) {
-        for (size_t sz : hitRatioTableSizes()) {
-            liveLets.push_back(std::make_unique<LetHitMeter>(sz));
-            liveLits.push_back(std::make_unique<LitHitMeter>(sz));
-            detector.addListener(liveLets.back().get());
-            detector.addListener(liveLits.back().get());
-        }
-    }
+    std::unique_ptr<MeterBank> meters;
+    if (need_meters)
+        meters = std::make_unique<MeterBank>(detector);
     if (flags.ideal)
         detector.addListener(&ideal);
     if (need_recorder)
@@ -311,11 +336,12 @@ runWorkload(const std::string &name, const RunOptions &opts,
 
     // --- Replay-derived artifacts --------------------------------------
     if (opts.checkReplay) {
-        // The control trace replayed into a fresh detector and meter
-        // bank must be indistinguishable from the pass: the meters read
-        // only pc/kind/taken, fields the trace records exactly, so
-        // final table state is compared too.
+        // The control trace replayed into a fresh detector, LET/LIT
+        // bank and predictor bank must be indistinguishable from the
+        // pass: the predictor meters read only pc/kind/taken, fields the
+        // trace records exactly, so final table state is compared too.
         LoopDetector refDet({opts.clsEntries});
+        MeterBank refMeters(refDet);
         LoopEventRecorder refRec;
         refDet.addListener(&refRec);
         PredictorMeter refMeter(flags.predictors);
@@ -329,6 +355,7 @@ runWorkload(const std::string &name, const RunOptions &opts,
             fatal("%s: %s diverges from %s: %s", name.c_str(),
                   feed_name(true), feed_name(false), diff.c_str());
         }
+        checkMetersMatch(name, *meters, refMeters);
         std::vector<PredictorMeterResult> live = predictorMeter.results();
         std::vector<PredictorMeterResult> replayed = refMeter.results();
         for (size_t i = 0; i < live.size(); ++i) {
@@ -353,31 +380,11 @@ runWorkload(const std::string &name, const RunOptions &opts,
     if (flags.loopStats)
         out.loopStats = stats.report();
     if (flags.hitRatios) {
-        // Figure-4 table-size sweep: the meters consume loop events
-        // only, so all eight run off the recorded stream.
-        std::vector<std::unique_ptr<LetHitMeter>> lets;
-        std::vector<std::unique_ptr<LitHitMeter>> lits;
-        std::vector<LoopListener *> meters;
-        for (size_t sz : hitRatioTableSizes()) {
-            lets.push_back(std::make_unique<LetHitMeter>(sz));
-            lits.push_back(std::make_unique<LitHitMeter>(sz));
-            meters.push_back(lets.back().get());
-            meters.push_back(lits.back().get());
-        }
-        replayLoopEvents(recording, meters);
-        for (size_t i = 0; i < lets.size(); ++i) {
-            out.letResults.emplace_back(lets[i]->numEntries(),
-                                        lets[i]->result());
-            out.litResults.emplace_back(lits[i]->numEntries(),
-                                        lits[i]->result());
-        }
-        if (opts.checkReplay) {
-            for (size_t i = 0; i < lets.size(); ++i) {
-                checkMeterMatch("LET", name, lets[i]->numEntries(),
-                                liveLets[i]->result(), lets[i]->result());
-                checkMeterMatch("LIT", name, lits[i]->numEntries(),
-                                liveLits[i]->result(), lits[i]->result());
-            }
+        for (size_t i = 0; i < meters->lets.size(); ++i) {
+            out.letResults.emplace_back(meters->lets[i]->numEntries(),
+                                        meters->lets[i]->result());
+            out.litResults.emplace_back(meters->lits[i]->numEntries(),
+                                        meters->lits[i]->result());
         }
     }
     if (flags.ideal) {

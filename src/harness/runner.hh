@@ -1,14 +1,15 @@
 /**
  * @file
  * Shared experiment driver: runs ONE trace pass through the loop
- * detector with the listeners an experiment needs, and derives every
- * dependent configuration by replay — the LET/LIT table-size sweep
- * replays the recorded loop-event stream, the Figure-5 prefix rerun
- * replays the control stream. The pass has two sources, chosen in one
- * place: executing the built workload, or (under --trace-dir) streaming
- * its exported control-trace container. Both feed the same observer set
- * and the same derivations and checks. Every bench binary (one per
- * paper table/figure) is a thin layer over this.
+ * detector with the listeners an experiment needs — the Figure-4
+ * LET/LIT meters at every table size ride it live — and derives the
+ * Figure-5 prefix rerun by replaying the control stream. Callers replay
+ * the kept control trace for further configurations (CLS sweeps). The
+ * pass has two sources, chosen in one place: executing the built
+ * workload, or (under --trace-dir) streaming its exported control-trace
+ * container. Both feed the same observer set and the same derivations
+ * and checks. Every bench binary (one per paper table/figure) is a thin
+ * layer over this.
  */
 
 #ifndef LOOPSPEC_HARNESS_RUNNER_HH

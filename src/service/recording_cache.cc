@@ -63,57 +63,41 @@ RecordingCache::dataReportKey(const std::string &workload,
            "|fmt=engine-v1";
 }
 
-void
-RecordingCache::touch(Entry &e)
-{
-    lru.splice(lru.begin(), lru, e.lruIt);
-}
-
-std::shared_ptr<const CachedRecording>
-RecordingCache::getRecording(const std::string &key)
+template <typename T>
+std::shared_ptr<const T>
+RecordingCache::get(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mtx);
     auto it = entries.find(key);
-    if (it == entries.end() || !it->second.recording) {
+    const auto *held =
+        it == entries.end()
+            ? nullptr
+            : std::get_if<std::shared_ptr<const T>>(&it->second.value);
+    if (!held) {
         ++misses;
         return nullptr;
     }
     ++hits;
-    touch(it->second);
-    return it->second.recording;
+    lru.splice(lru.begin(), lru, it->second.lruIt);
+    return *held;
 }
 
-std::shared_ptr<const CachedMemTrace>
-RecordingCache::getMemTrace(const std::string &key)
+template <typename T>
+std::shared_ptr<const T>
+RecordingCache::put(const std::string &key, std::shared_ptr<const T> value)
 {
     std::lock_guard<std::mutex> lock(mtx);
     auto it = entries.find(key);
-    if (it == entries.end() || !it->second.memTrace) {
-        ++misses;
-        return nullptr;
+    if (it != entries.end()) {
+        if (const auto *held =
+                std::get_if<std::shared_ptr<const T>>(&it->second.value)) {
+            lru.splice(lru.begin(), lru, it->second.lruIt);
+            return *held;
+        }
     }
-    ++hits;
-    touch(it->second);
-    return it->second.memTrace;
-}
-
-std::shared_ptr<const CachedDataReport>
-RecordingCache::getDataReport(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = entries.find(key);
-    if (it == entries.end() || !it->second.dataReport) {
-        ++misses;
-        return nullptr;
-    }
-    ++hits;
-    touch(it->second);
-    return it->second.dataReport;
-}
-
-void
-RecordingCache::insertAndEvict(const std::string &key, Entry e)
-{
+    Entry e;
+    e.bytes = value->memoryBytes() + key.size() + kEntryOverheadBytes;
+    e.value = value;
     lru.push_front(key);
     e.lruIt = lru.begin();
     bytes += e.bytes;
@@ -131,44 +115,39 @@ RecordingCache::insertAndEvict(const std::string &key, Entry e)
         entries.erase(vit);
         ++evictions;
     }
+    return value;
+}
+
+std::shared_ptr<const CachedRecording>
+RecordingCache::getRecording(const std::string &key)
+{
+    return get<CachedRecording>(key);
+}
+
+std::shared_ptr<const CachedMemTrace>
+RecordingCache::getMemTrace(const std::string &key)
+{
+    return get<CachedMemTrace>(key);
+}
+
+std::shared_ptr<const CachedDataReport>
+RecordingCache::getDataReport(const std::string &key)
+{
+    return get<CachedDataReport>(key);
 }
 
 std::shared_ptr<const CachedRecording>
 RecordingCache::putRecording(const std::string &key,
                              std::shared_ptr<const CachedRecording> value)
 {
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = entries.find(key);
-    if (it != entries.end() && it->second.recording) {
-        touch(it->second);
-        return it->second.recording;
-    }
-    Entry e;
-    e.recording = std::move(value);
-    e.bytes =
-        e.recording->memoryBytes() + key.size() + kEntryOverheadBytes;
-    auto kept = e.recording;
-    insertAndEvict(key, std::move(e));
-    return kept;
+    return put(key, std::move(value));
 }
 
 std::shared_ptr<const CachedMemTrace>
 RecordingCache::putMemTrace(const std::string &key,
                             std::shared_ptr<const CachedMemTrace> value)
 {
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = entries.find(key);
-    if (it != entries.end() && it->second.memTrace) {
-        touch(it->second);
-        return it->second.memTrace;
-    }
-    Entry e;
-    e.memTrace = std::move(value);
-    e.bytes =
-        e.memTrace->memoryBytes() + key.size() + kEntryOverheadBytes;
-    auto kept = e.memTrace;
-    insertAndEvict(key, std::move(e));
-    return kept;
+    return put(key, std::move(value));
 }
 
 std::shared_ptr<const CachedDataReport>
@@ -176,19 +155,7 @@ RecordingCache::putDataReport(
     const std::string &key,
     std::shared_ptr<const CachedDataReport> value)
 {
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = entries.find(key);
-    if (it != entries.end() && it->second.dataReport) {
-        touch(it->second);
-        return it->second.dataReport;
-    }
-    Entry e;
-    e.dataReport = std::move(value);
-    e.bytes =
-        e.dataReport->memoryBytes() + key.size() + kEntryOverheadBytes;
-    auto kept = e.dataReport;
-    insertAndEvict(key, std::move(e));
-    return kept;
+    return put(key, std::move(value));
 }
 
 CacheStats

@@ -31,6 +31,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <variant>
 
 #include "dataspec/data_profiler.hh"
 #include "dataspec/mem_trace.hh"
@@ -163,16 +164,21 @@ class RecordingCache
   private:
     struct Entry
     {
-        // Exactly one of the three is set.
-        std::shared_ptr<const CachedRecording> recording;
-        std::shared_ptr<const CachedMemTrace> memTrace;
-        std::shared_ptr<const CachedDataReport> dataReport;
+        std::variant<std::shared_ptr<const CachedRecording>,
+                     std::shared_ptr<const CachedMemTrace>,
+                     std::shared_ptr<const CachedDataReport>>
+            value;
         size_t bytes = 0;
         std::list<std::string>::iterator lruIt;
     };
 
-    void touch(Entry &e);
-    void insertAndEvict(const std::string &key, Entry e);
+    /** The one lookup and the one insert-or-adopt behind the typed
+     *  accessors above. */
+    template <typename T>
+    std::shared_ptr<const T> get(const std::string &key);
+    template <typename T>
+    std::shared_ptr<const T> put(const std::string &key,
+                                 std::shared_ptr<const T> value);
 
     mutable std::mutex mtx;
     std::unordered_map<std::string, Entry> entries;

@@ -6,6 +6,13 @@
  * across every policy / TU-count configuration — the experimental sweeps
  * of Figures 6 and 7 run off a single execution per workload.
  *
+ * A recording holds only what the simulator reads: each execution with
+ * the boundaries where its iterations start and where it ends, and the
+ * trace-ordered IterStart/ExecEnd events over them. The other detector
+ * callbacks (IterEnd, single-iteration executions) are not kept;
+ * consumers of the full event stream (the Figure-4 LET/LIT meters) ride
+ * a detector live, or a control-trace replay into one.
+ *
  * Positions are expressed as *boundaries*: the trace position just after
  * the triggering instruction retires, i.e. the index of the first
  * instruction of the newly started iteration.
@@ -59,9 +66,6 @@ struct ExecRecord
      * then treat every iteration as mispredicted). Derived.
      */
     std::vector<bool> iterLiveInOk;
-
-    /** Segment of iteration @p j (2-based); iteration must exist. */
-    std::pair<uint64_t, uint64_t> iterSegment(uint32_t j) const;
 };
 
 /** Event kinds the simulator consumes. */
@@ -80,48 +84,12 @@ struct SimEvent
     SimEventKind kind;
 };
 
-/** Kinds of the replayable loop-event stream (all five detector
- *  callbacks, in emission order). */
-enum class LoopEventKind : uint8_t
-{
-    ExecStart,
-    IterStart,
-    IterEnd,
-    ExecEnd,
-    SingleIter,
-};
-
-/**
- * One recorded loop event (32 bytes — the recorder appends one per
- * event on the hot path). Together with the ExecRecords, the stream
- * reconstructs the original ExecStartEvent / IterEvent / ExecEndEvent /
- * SingleIterExecEvent sequence exactly: ExecStart events pair 1:1, in
- * order, with LoopEventRecording::execs, which carry the branchAddr and
- * parentExecId. Field use by kind:
- *   ExecStart:  pos execId loop depth (rest from the ExecRecord)
- *   IterStart/IterEnd: pos execId loop aux(=iterIndex) depth
- *   ExecEnd:    pos execId loop aux(=iterCount) reason
- *   SingleIter: pos loop aux(=branchAddr) depth
- */
-struct LoopEventRec
-{
-    uint64_t pos = 0;
-    uint64_t execId = 0;
-    uint32_t loop = 0;
-    uint32_t aux = 0;
-    uint32_t depth = 0;
-    LoopEventKind kind = LoopEventKind::ExecStart;
-    ExecEndReason reason = ExecEndReason::Close;
-};
-
 /** The full recording of one trace. */
 struct LoopEventRecording
 {
     uint64_t totalInstrs = 0;
     std::vector<ExecRecord> execs;
     std::vector<SimEvent> events;
-    /** Replayable event stream (see replayLoopEvents). */
-    std::vector<LoopEventRec> loopEvents;
 
     /** Heap footprint including per-exec sidecars — the recording
      *  cache's accounting hook. */
@@ -129,8 +97,7 @@ struct LoopEventRecording
     memoryBytes() const
     {
         size_t bytes = execs.capacity() * sizeof(ExecRecord) +
-                       events.capacity() * sizeof(SimEvent) +
-                       loopEvents.capacity() * sizeof(LoopEventRec);
+                       events.capacity() * sizeof(SimEvent);
         for (const ExecRecord &e : execs) {
             bytes += e.iterBoundaries.capacity() * sizeof(uint64_t);
             bytes += e.iterDepSrc.capacity() * sizeof(uint32_t);
@@ -141,36 +108,11 @@ struct LoopEventRecording
 };
 
 /**
- * Rebuild the derived views of a recording — the simulator's SimEvent
- * stream and each ExecRecord's iterBoundaries / endBoundary / iterCount /
- * endReason — from the loopEvents stream. Requires rec.totalInstrs and
- * rec.execs to be populated with one record per ExecStart event, in
- * order, carrying the non-derivable fields (execId, loop, branchAddr,
- * depth, parentExecId); everything derived is recomputed from scratch.
- *
- * The recorder runs this in onTraceDone (an error there is an internal
- * bug → panic). Structural inconsistencies (events for unknown
- * executions, executions left open, out-of-range kinds) come back as a
- * diagnostic string — "" on success — never as UB or an abort.
- */
-std::string deriveRecordingEvents(LoopEventRecording &rec);
-
-/**
- * Replay the recorded loop-event stream into @p listeners in emission
- * order, finishing with onTraceDone. Per-instruction callbacks are not
- * replayed: this derives every artifact that consumes loop events only
- * (the LET/LIT hit meters of Figure 4, nest-aware replacement ablations)
- * from one functional pass, bit-identically to a live pass.
- */
-void replayLoopEvents(const LoopEventRecording &recording,
-                      const std::vector<LoopListener *> &listeners);
-
-/**
- * Field-by-field comparison of two recordings (loop-event stream, exec
- * records with their iteration boundaries, sim events, total length):
+ * Field-by-field comparison of two recordings (total length, exec
+ * records with their iteration boundaries, sim events):
  * "" when identical, else a one-line description of the first
- * difference. The shared oracle behind the fuzz harness's re-recording
- * check and the sweep engine's --check-replay of derived recordings.
+ * difference. The oracle behind --check-replay, in runWorkload and for
+ * the sweep engine's derived recordings.
  * Annotations (iterDepSrc, iterLiveInOk) are not compared —
  * they come from separate merge steps, not from recording.
  */
@@ -192,10 +134,10 @@ void mergeDataCorrectness(LoopEventRecording &recording,
  * LoopListener building a LoopEventRecording. Attach to a LoopDetector,
  * run the trace, then take() the result.
  *
- * Hot-path cost is one 32-byte append per loop event (plus one
- * ExecRecord per detected execution); the simulator's SimEvent stream
- * and the per-execution iteration boundaries are derived from the event
- * stream in onTraceDone.
+ * Each IterStart/ExecEnd appends one SimEvent and sets or appends one
+ * boundary of its ExecRecord, found through a flat execId -> index
+ * vector (the detector allocates ids densely from 1). onTraceDone clamps
+ * the boundaries of executions flushed at trace end to totalInstrs.
  */
 class LoopEventRecorder : public LoopListener
 {
@@ -204,16 +146,20 @@ class LoopEventRecorder : public LoopListener
     bool consumesInstrs() const override { return false; }
     void onExecStart(const ExecStartEvent &ev) override;
     void onIterStart(const IterEvent &ev) override;
-    void onIterEnd(const IterEvent &ev) override;
     void onExecEnd(const ExecEndEvent &ev) override;
-    void onSingleIterExec(const SingleIterExecEvent &ev) override;
     void onTraceDone(uint64_t total_instrs) override;
 
     /** Move the finished recording out (valid after onTraceDone). */
     LoopEventRecording take();
 
   private:
+    /** Index into rec.execs of live execution @p exec_id. */
+    uint32_t liveIndex(uint64_t exec_id) const;
+
     LoopEventRecording rec;
+    /** execId -> index into rec.execs; UINT32_MAX = not live. */
+    std::vector<uint32_t> execIndex;
+    size_t liveExecs = 0;
     bool done = false;
 };
 

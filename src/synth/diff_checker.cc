@@ -372,7 +372,7 @@ refLitResult(const std::vector<LoggedEvent> &events, size_t entries)
     return res;
 }
 
-/** The meter battery attached to reference and replay passes. */
+/** The meter battery attached to the reference pass. */
 struct MeterBank
 {
     std::vector<std::unique_ptr<LetHitMeter>> lets;
@@ -393,51 +393,6 @@ struct MeterBank
             det.addListener(m.get());
         for (auto &m : lits)
             det.addListener(m.get());
-    }
-
-    std::vector<LoopListener *>
-    listeners()
-    {
-        std::vector<LoopListener *> out;
-        for (auto &m : lets)
-            out.push_back(m.get());
-        for (auto &m : lits)
-            out.push_back(m.get());
-        return out;
-    }
-
-    std::string
-    compare(const char *what, const MeterBank &ref) const
-    {
-        for (size_t i = 0; i < lets.size(); ++i) {
-            const auto &a = ref.lets[i]->result();
-            const auto &b = lets[i]->result();
-            if (a.accesses != b.accesses || a.hits != b.hits) {
-                return strprintf("%s: LET@%zu %llu/%llu vs reference "
-                                 "%llu/%llu",
-                                 what, lets[i]->numEntries(),
-                                 static_cast<unsigned long long>(b.hits),
-                                 static_cast<unsigned long long>(
-                                     b.accesses),
-                                 static_cast<unsigned long long>(a.hits),
-                                 static_cast<unsigned long long>(
-                                     a.accesses));
-            }
-            const auto &c = ref.lits[i]->result();
-            const auto &d = lits[i]->result();
-            if (c.accesses != d.accesses || c.hits != d.hits) {
-                return strprintf("%s: LIT@%zu %llu/%llu vs reference "
-                                 "%llu/%llu",
-                                 what, lits[i]->numEntries(),
-                                 static_cast<unsigned long long>(d.hits),
-                                 static_cast<unsigned long long>(
-                                     d.accesses),
-                                 static_cast<unsigned long long>(c.hits),
-                                 static_cast<unsigned long long>(
-                                     c.accesses));
-            }
-        }
-        return {};
     }
 };
 
@@ -676,10 +631,6 @@ checkInvariants(const EventLog &log, const std::vector<DynInstr> &stream,
     }
     return {};
 }
-
-// compareRecordings() moved to speculation/event_record.{hh,cc}: the
-// same oracle now also backs the sweep engine's --check-replay of
-// control-trace-derived recordings.
 
 /** One seeded corruption of @p image; never a byte-identical copy. */
 std::vector<uint8_t>
@@ -1104,25 +1055,6 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
                               log_c2b);
         if (!err.empty())
             return DiffResult::fail(err);
-
-        // (D) Loop-event replay: events, meters and a re-recording.
-        EventLog log_d;
-        MeterBank meters_d(cfg.meterSizes);
-        LoopEventRecorder recorder_d;
-        {
-            std::vector<LoopListener *> ls = meters_d.listeners();
-            ls.push_back(&log_d);
-            ls.push_back(&recorder_d);
-            replayLoopEvents(recording, ls);
-        }
-        err = compareLogs((tag + " event-replay").c_str(), log_a, log_d);
-        if (err.empty())
-            err = meters_d.compare((tag + " event-replay").c_str(),
-                                   meters_a);
-        if (err.empty())
-            err = compareRecordings(recording, recorder_d.take());
-        if (!err.empty())
-            return DiffResult::fail(tag + ": " + err);
 
         // (D2) Disk round-trip + corruption-rejection oracle. The
         // container codecs are CLS-independent, so one pass (at the

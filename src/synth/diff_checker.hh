@@ -15,8 +15,6 @@
  *    per-instruction, by engine run() batches (default and odd-sized,
  *    hot planes or hot + cold planes), by control-trace replay, or by
  *    chunk-interleaved replay sources (trace_io/replay_source.hh);
- *  - replaying a LoopEventRecording must reproduce the events, the
- *    Fig-4 meter artifacts, and a re-recorded recording exactly;
  *  - Table-1 statistics must agree across every path;
  *  - detector invariants must hold on the reference stream (conservation,
  *    iteration-count/backedge accounting, event ordering, depth bounds);

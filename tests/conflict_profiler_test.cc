@@ -5,10 +5,11 @@
  *
  *  - the memory-dependence conflict profiler against an independent
  *    std::map/std::set oracle over randomized loop-event + load/store
- *    streams: per-loop conflict sets, edge counts, violation sequences
- *    and iterDepSrc must match the model exactly, on every prefix of
- *    the access stream, and equal inputs must produce equal
- *    stateHash()es;
+ *    streams (the recording built through LoopEventRecorder's
+ *    callbacks, the model walking its own copy of the events): per-loop
+ *    conflict sets, edge counts, violation sequences and iterDepSrc
+ *    must match the model exactly, on every prefix of the access
+ *    stream, and equal inputs must produce equal stateHash()es;
  *  - the edge-cap and violation-cap accounting (overflow instances keep
  *    counting, materialisation stops);
  *  - annotateConflicts sizing and copying semantics;
@@ -42,14 +43,32 @@ namespace
 
 // --- randomized scenario ------------------------------------------------
 
+/** One loop event of a scenario, as the reference model sees it. */
+struct ModelOp
+{
+    enum Kind
+    {
+        Start, //!< execution detected; iteration 2 begins
+        Iter,  //!< iteration @p iter begins
+        End,   //!< execution ends
+    };
+    Kind kind;
+    uint64_t pos; //!< retire seq of the triggering instruction
+    uint64_t execId;
+    uint32_t loop;
+    uint32_t iter;
+};
+
 /** One randomized profiler input: a structurally valid loop-event
- *  stream (balanced ExecStart/ExecEnd, monotone positions) plus an
- *  interleaved load/store stream over a small aliasing-prone address
- *  pool. Only the fields the profiler consumes are populated. */
+ *  stream (balanced starts and ends, monotone positions) fed through a
+ *  LoopEventRecorder's callbacks, plus an interleaved load/store stream
+ *  over a small aliasing-prone address pool. The model walks @p ops,
+ *  its own copy of the events. */
 struct Scenario
 {
     LoopEventRecording rec;
     MemAccessTrace mem;
+    std::vector<ModelOp> ops;
 };
 
 Scenario
@@ -57,56 +76,56 @@ randomScenario(uint64_t seed, size_t steps = 300)
 {
     Rng rng(seed);
     Scenario s;
+    LoopEventRecorder recorder;
 
     struct Open
     {
         uint64_t execId;
         uint32_t loop;
-        uint32_t iter = 1; //!< last started iteration
+        uint32_t iter = 2; //!< last started iteration
     };
     std::vector<Open> stack;
     uint64_t time = 1;
     uint64_t next_exec = 1;
-    uint64_t seq_tail = 0;
 
-    auto push_event = [&](LoopEventKind kind, uint64_t exec_id,
-                          uint32_t loop, uint32_t aux) {
-        LoopEventRec e;
-        e.pos = time;
-        e.execId = exec_id;
-        e.loop = loop;
-        e.aux = aux;
-        e.kind = kind;
-        s.rec.loopEvents.push_back(e);
+    auto depth_of = [&](uint64_t exec_id) {
+        for (size_t d = 0; d < stack.size(); ++d)
+            if (stack[d].execId == exec_id)
+                return static_cast<uint32_t>(d + 1);
+        return 0u;
+    };
+    auto end_innermost = [&] {
+        Open o = stack.back();
+        recorder.onExecEnd(
+            {time, o.execId, o.loop, o.iter, ExecEndReason::Close});
+        s.ops.push_back({ModelOp::End, time, o.execId, o.loop, o.iter});
+        stack.pop_back();
     };
 
     for (size_t i = 0; i < steps; ++i) {
         time += 1 + rng.below(3);
         double p = rng.uniform();
         if (p < 0.12 && stack.size() < 3) {
+            // Detection: the detector emits ExecStart and IterStart(2)
+            // at the same position.
             Open o{next_exec++, static_cast<uint32_t>(10 + rng.below(4))};
-            push_event(LoopEventKind::ExecStart, o.execId, o.loop, 0);
-            // Matching exec record (deriveRecordingEvents pairs them
-            // 1:1, in order, and wants dense ids starting at 1).
-            ExecRecord x;
-            x.execId = o.execId;
-            x.loop = o.loop;
-            x.depth = static_cast<uint32_t>(stack.size());
-            s.rec.execs.push_back(x);
+            uint64_t parent = stack.empty() ? 0 : stack.back().execId;
             stack.push_back(o);
+            uint32_t depth = static_cast<uint32_t>(stack.size());
+            recorder.onExecStart(
+                {time, o.execId, o.loop, o.loop + 20, depth, parent});
+            recorder.onIterStart({time, o.execId, o.loop, 2, depth});
+            s.ops.push_back({ModelOp::Start, time, o.execId, o.loop, 2});
         } else if (p < 0.30 && !stack.empty()) {
-            // Start the next iteration of a random open execution. The
-            // detector numbers seen iterations from 2.
+            // Start the next iteration of a random open execution.
             Open &o = stack[rng.below(stack.size())];
-            o.iter = o.iter < 2 ? 2 : o.iter + 1;
-            push_event(LoopEventKind::IterStart, o.execId, o.loop,
-                       o.iter);
+            ++o.iter;
+            recorder.onIterStart(
+                {time, o.execId, o.loop, o.iter, depth_of(o.execId)});
+            s.ops.push_back({ModelOp::Iter, time, o.execId, o.loop,
+                             o.iter});
         } else if (p < 0.38 && !stack.empty()) {
-            // Close the innermost execution.
-            Open o = stack.back();
-            stack.pop_back();
-            push_event(LoopEventKind::ExecEnd, o.execId, o.loop,
-                       o.iter);
+            end_innermost();
         } else {
             // A load or store, also emitted while no loop is live (the
             // profiler must skip those).
@@ -116,18 +135,15 @@ randomScenario(uint64_t seed, size_t steps = 300)
             a.pc = static_cast<uint32_t>(40 + rng.below(8));
             a.isStore = rng.chance(0.45);
             s.mem.accesses.push_back(a);
-            seq_tail = time;
         }
     }
     while (!stack.empty()) {
         time += 1;
-        Open o = stack.back();
-        stack.pop_back();
-        push_event(LoopEventKind::ExecEnd, o.execId, o.loop, o.iter);
+        end_innermost();
     }
-    s.rec.totalInstrs = time + 1;
+    recorder.onTraceDone(time + 1);
+    s.rec = recorder.take();
     s.mem.totalInstrs = s.rec.totalInstrs;
-    (void)seq_tail;
     return s;
 }
 
@@ -160,16 +176,16 @@ referenceProfile(const Scenario &s, const ConflictConfig &cfg = {})
     };
     std::vector<Frame> frames;
     size_t ei = 0;
-    const auto &evs = s.rec.loopEvents;
+    const std::vector<ModelOp> &ops = s.ops;
 
-    auto apply = [&](const LoopEventRec &e) {
-        if (e.kind == LoopEventKind::ExecStart) {
+    auto apply = [&](const ModelOp &e) {
+        if (e.kind == ModelOp::Start) {
             frames.push_back({e.execId, e.loop, 2, {}});
-        } else if (e.kind == LoopEventKind::IterStart) {
+        } else if (e.kind == ModelOp::Iter) {
             for (Frame &f : frames)
                 if (f.execId == e.execId)
-                    f.curIter = e.aux;
-        } else if (e.kind == LoopEventKind::ExecEnd) {
+                    f.curIter = e.iter;
+        } else {
             for (size_t i = frames.size(); i-- > 0;) {
                 if (frames[i].execId == e.execId) {
                     frames.erase(frames.begin() +
@@ -181,8 +197,9 @@ referenceProfile(const Scenario &s, const ConflictConfig &cfg = {})
     };
 
     for (const MemAccess &a : s.mem.accesses) {
-        while (ei < evs.size() && evs[ei].pos <= a.seq)
-            apply(evs[ei++]);
+        // An event's instruction retires before any later access.
+        while (ei < ops.size() && ops[ei].pos < a.seq)
+            apply(ops[ei++]);
         for (Frame &f : frames) {
             if (a.isStore) {
                 f.writers[a.addr] = {f.curIter, a.pc};
@@ -304,6 +321,7 @@ TEST(ConflictProfilerProperty, EveryAccessPrefixMatchesTheModel)
         SCOPED_TRACE(n);
         Scenario cut;
         cut.rec = s.rec;
+        cut.ops = s.ops;
         cut.mem.totalInstrs = s.mem.totalInstrs;
         cut.mem.accesses.assign(s.mem.accesses.begin(),
                                 s.mem.accesses.begin() +
@@ -387,8 +405,6 @@ TEST(ConflictProfilerProperty, InjectedOffByOneShiftsTheAnnotation)
 TEST(ConflictProfilerProperty, AnnotateSizesAndCopiesPerExecution)
 {
     Scenario s = randomScenario(test::testSeed(321));
-    // Derive execs/iterCounts from the event stream the scenario built.
-    ASSERT_EQ(deriveRecordingEvents(s.rec), "");
     ConflictProfile p = profileConflicts(s.rec, s.mem);
     annotateConflicts(&s.rec, p);
     for (const ExecRecord &e : s.rec.execs) {

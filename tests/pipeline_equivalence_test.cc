@@ -599,18 +599,18 @@ TEST(LoopEventReplay, MeterResultsMatchLiveMeters)
         SCOPED_TRACE(name);
         Program p = buildWorkload(name, {kScale});
         Artifacts direct = collect(p, 16, 0, true);
-        auto [trace, rec] = recordOnce(p, 16);
+        const ControlTrace trace = recordOnce(p, 16).first;
 
+        LoopDetector det({16});
         std::vector<std::unique_ptr<LetHitMeter>> lets;
         std::vector<std::unique_ptr<LitHitMeter>> lits;
-        std::vector<LoopListener *> meters;
         for (size_t sz : hitRatioTableSizes()) {
             lets.push_back(std::make_unique<LetHitMeter>(sz));
             lits.push_back(std::make_unique<LitHitMeter>(sz));
-            meters.push_back(lets.back().get());
-            meters.push_back(lits.back().get());
+            det.addListener(lets.back().get());
+            det.addListener(lits.back().get());
         }
-        replayLoopEvents(rec, meters);
+        replayControlTrace(trace, det);
         std::vector<std::pair<uint64_t, uint64_t>> replayed;
         for (size_t i = 0; i < lets.size(); ++i) {
             replayed.emplace_back(lets[i]->result().accesses,
@@ -624,10 +624,10 @@ TEST(LoopEventReplay, MeterResultsMatchLiveMeters)
 
 TEST(LoopEventReplay, NestAwareMetersMatchLiveRun)
 {
-    // The ablation-D configuration: replacement-policy variants replayed
-    // from the recording must equal a live pass.
+    // The ablation-D configuration: replacement-policy variants fed by
+    // a control-trace replay must equal a live pass.
     Program p = buildWorkload("compress", {kScale});
-    auto [trace, rec] = recordOnce(p, 16);
+    const ControlTrace trace = recordOnce(p, 16).first;
 
     TraceEngine engine(p);
     LoopDetector det({16});
@@ -640,7 +640,10 @@ TEST(LoopEventReplay, NestAwareMetersMatchLiveRun)
 
     LetHitMeter repLet(4, TableReplacement::NestAware);
     LitHitMeter repLit(4, TableReplacement::NestAware);
-    replayLoopEvents(rec, {&repLet, &repLit});
+    LoopDetector repDet({16});
+    repDet.addListener(&repLet);
+    repDet.addListener(&repLit);
+    replayControlTrace(trace, repDet);
     EXPECT_EQ(repLet.result().accesses, liveLet.result().accesses);
     EXPECT_EQ(repLet.result().hits, liveLet.result().hits);
     EXPECT_EQ(repLit.result().accesses, liveLit.result().accesses);

@@ -1,9 +1,10 @@
-/** @file Unit tests for the LoopEventRecorder and recording round-trip. */
+/** @file Unit tests for the LoopEventRecorder. */
 
 #include <gtest/gtest.h>
 
 
 #include "speculation/event_record.hh"
+#include "speculation/spec_sim.hh"
 #include "tests/test_util.hh"
 
 namespace loopspec
@@ -37,14 +38,15 @@ TEST(Recorder, SimpleLoopSegments)
     EXPECT_EQ(x.endReason, ExecEndReason::Close);
     ASSERT_EQ(x.iterBoundaries.size(), 4u); // iterations 2..5
     // Iteration length: 2 nops + addi + blt = 4 instructions.
+    const RecordingIndex index(rec);
     for (uint32_t j = 2; j <= 5; ++j) {
-        auto [s, e] = x.iterSegment(j);
+        auto [s, e] = index.segment(0, j);
         EXPECT_EQ(e - s, 4u) << "iteration " << j;
     }
     // Segments tile the execution contiguously.
     for (uint32_t j = 2; j < 5; ++j)
-        EXPECT_EQ(x.iterSegment(j).second, x.iterSegment(j + 1).first);
-    EXPECT_EQ(x.iterSegment(5).second, x.endBoundary);
+        EXPECT_EQ(index.segment(0, j).second, index.segment(0, j + 1).first);
+    EXPECT_EQ(index.segment(0, 5).second, x.endBoundary);
 }
 
 TEST(Recorder, EventsAreOrderedByBoundary)

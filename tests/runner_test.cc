@@ -227,7 +227,7 @@ TEST(RunWorkloadTraceDir, StreamedReplayMatchesDirectExecution)
     replay.traceDir = dir;
     WorkloadArtifacts streamed = runWorkload("compress", replay, flags);
 
-    EXPECT_GT(direct.recording.loopEvents.size(), 0u);
+    EXPECT_GT(direct.recording.events.size(), 0u);
     EXPECT_EQ(compareRecordings(direct.recording, streamed.recording), "");
 
     EXPECT_EQ(streamed.totalInstrs, direct.totalInstrs);

@@ -470,10 +470,27 @@ TEST(SpecSimConflictsDeathTest, LiveDataModesRejectMultiClsGrids)
                 "single-CLS");
 }
 
+/** Record @p prog's control trace, replay it into a fresh detector and
+ *  recorder, and return that recording — the path every derived-CLS
+ *  sweep recording takes. */
+LoopEventRecording
+recordByControlReplay(const Program &prog)
+{
+    TraceEngine engine(prog);
+    ControlTraceRecorder ctrace;
+    engine.addObserver(&ctrace);
+    engine.run();
+    LoopDetector det({16});
+    LoopEventRecorder rec;
+    det.addListener(&rec);
+    replayControlTrace(ctrace.take(), det);
+    return rec.take();
+}
+
 TEST(SpecSimReplay, ReplayedRecordingGivesIdenticalStats)
 {
-    // A recording rebuilt by replaying the loop-event stream into a
-    // second recorder must drive the TU simulator to bit-identical
+    // A recording rebuilt by replaying the control trace into a fresh
+    // detector and recorder must drive the TU simulator to bit-identical
     // statistics — including the phantom-thread accounting inside
     // threadsSquashed — for every policy and TU count. Mixed program:
     // nests, a data-dependent break and callee loops, so phantoms,
@@ -497,11 +514,9 @@ TEST(SpecSimReplay, ReplayedRecordingGivesIdenticalStats)
     b.li(r7, 4);
     b.countedLoop(r6, r7, [&](const LoopCtx &) { b.nop(); });
     b.ret();
-    LoopEventRecording direct = record(b.build());
-
-    LoopEventRecorder second;
-    replayLoopEvents(direct, {&second});
-    LoopEventRecording replayed = second.take();
+    const Program prog = b.build();
+    LoopEventRecording direct = record(prog);
+    LoopEventRecording replayed = recordByControlReplay(prog);
 
     for (unsigned tus : {2u, 4u, 8u}) {
         for (SpecPolicy pol :
@@ -523,10 +538,8 @@ TEST(SpecSimReplay, ReplayedRecordingGivesIdenticalStats)
 
     // The phantom burst of PhantomAccountingExact must survive a replay
     // round-trip exactly, too.
-    LoopEventRecording flat = record(flatLoop(5, 4));
-    LoopEventRecorder second_flat;
-    replayLoopEvents(flat, {&second_flat});
-    SpecStats s = simulate(second_flat.take(), 8, SpecPolicy::Idle);
+    SpecStats s =
+        simulate(recordByControlReplay(flatLoop(5, 4)), 8, SpecPolicy::Idle);
     EXPECT_EQ(s.threadsSpeculated, 7u);
     EXPECT_EQ(s.threadsVerified, 3u);
     EXPECT_EQ(s.threadsSquashed, 4u);
